@@ -18,10 +18,10 @@ from .errors import (
 )
 from .states import (
     BellDiagonalParams,
-    ComplexMatrix,
     DensityMatrix,
     IDENTITY_2,
     Projector,
+    _is_unit,
     projector_matrix,
 )
 
@@ -45,8 +45,8 @@ class MeasurementSet:
     def __post_init__(self):
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
         object.__setattr__(self, "directions", dirs)
-        norms = np.linalg.norm(dirs, axis=1)
-        if not np.allclose(norms, 1.0, atol=ATOL_BOX):
+        if not _is_unit(dirs):
+            norms = np.linalg.norm(dirs, axis=1)
             raise DimensionMismatch(f"measurement directions must be unit vectors, norms {norms}")
 
     @property
@@ -136,6 +136,33 @@ class Assemblage:
         return self
 
 
+def _projectors(directions: np.ndarray) -> np.ndarray:
+    """Pi_a^x for every direction x and outcome a, shape (k, 2, 2, 2)."""
+    return np.array(
+        [[projector_matrix(Projector(d, a)) for a in (0, 1)] for d in directions]
+    )
+
+
+def _born_products(
+    rho: DensityMatrix, alice_ops: np.ndarray, bob_ops: np.ndarray
+) -> np.ndarray:
+    """(A_a^x (x) B_b^y) rho for stacks alice_ops (X, A, 2, 2) and bob_ops
+    (Y, B, 2, 2), shape (X, Y, A, B, 4, 4): the package's one Born-rule site.
+
+    Its trace is p(ab|xy); with Bob's identity as his only operator, its
+    partial trace over Alice is sigma(a|x).  Forming each Kronecker product
+    and multiplying it into rho as its own 4x4 product keeps every entry bit
+    for bit equal to Tr[np.kron(A, B) @ rho]; an einsum contraction does not.
+    """
+    x, a = alice_ops.shape[:2]
+    y, b = bob_ops.shape[:2]
+    joint = (
+        alice_ops[:, None, :, None, :, None, :, None]
+        * bob_ops[None, :, None, :, None, :, None, :]
+    )
+    return joint.reshape(x, y, a, b, 4, 4) @ rho
+
+
 def box_from_state(rho: DensityMatrix, alice: MeasurementSet, bob: MeasurementSet) -> Box:
     """Born-rule box p(ab|xy) = Tr[(Pi_a^x (x) Pi_b^y) rho].
 
@@ -147,16 +174,8 @@ def box_from_state(rho: DensityMatrix, alice: MeasurementSet, bob: MeasurementSe
         raise DimensionMismatch(f"state must be 4x4, got {rho.shape}")
     if alice.n != bob.n:
         raise DimensionMismatch(f"setting counts differ: {alice.n} vs {bob.n}")
-    n = alice.n
-    proj_a = [[projector_matrix(Projector(alice.directions[x], a)) for a in (0, 1)] for x in range(n)]
-    proj_b = [[projector_matrix(Projector(bob.directions[y], b)) for b in (0, 1)] for y in range(n)]
-    p = np.empty((n, n, 2, 2))
-    for x in range(n):
-        for y in range(n):
-            for a in (0, 1):
-                for b in (0, 1):
-                    p[x, y, a, b] = np.trace(np.kron(proj_a[x][a], proj_b[y][b]) @ rho).real
-    return Box(n, p).validate()
+    products = _born_products(rho, _projectors(alice.directions), _projectors(bob.directions))
+    return Box(alice.n, np.trace(products, axis1=-2, axis2=-1).real).validate()
 
 
 def white_noise_bb84(v: float) -> Box:
@@ -171,33 +190,6 @@ def white_noise_bb84(v: float) -> Box:
     for x, y, a, b in itertools.product((0, 1), repeat=4):
         p[x, y, a, b] = (1.0 + (-1.0) ** (a + b + x * y) * (1.0 if x == y else 0.0) * v) / 4.0
     return Box(2, p)
-
-
-@dataclass(frozen=True)
-class DeterministicBox:
-    """Affine single-party strategy a = alpha * x XOR beta (bits)."""
-
-    alpha: int
-    beta: int
-
-    def table(self, n: int = 2) -> np.ndarray:
-        return deterministic_box(self.alpha, self.beta, n)
-
-
-def deterministic_box(alpha: int, beta: int, n: int = 2) -> np.ndarray:
-    """Single-party response table P(a|x) = 1 iff a = alpha*x XOR beta.
-
-    The affine parametrization covers exactly the four n = 2 deterministic
-    boxes; the full 2^n-strategy enumeration used by the model search lives
-    in deterministic_strategies.
-
-    Returns:
-        Array of shape (n, 2).
-    """
-    table = np.zeros((n, 2))
-    for x in range(n):
-        table[x, (alpha * x + beta) % 2] = 1.0
-    return table
 
 
 def deterministic_strategies(n: int) -> tuple[tuple[int, ...], ...]:
@@ -223,13 +215,9 @@ def assemblage_from_state(rho: DensityMatrix, alice: MeasurementSet) -> Assembla
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise DimensionMismatch(f"state must be 4x4, got {rho.shape}")
-    n = alice.n
-    sigma = np.empty((2, n, 2, 2), dtype=complex)
-    for x in range(n):
-        for a in (0, 1):
-            op = np.kron(projector_matrix(Projector(alice.directions[x], a)), IDENTITY_2) @ rho
-            sigma[a, x] = op.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)
-    return Assemblage(sigma).validate()
+    products = _born_products(rho, _projectors(alice.directions), IDENTITY_2[None, None])
+    sigma = products[:, 0, :, 0].reshape(alice.n, 2, 2, 2, 2, 2).trace(axis1=2, axis2=4)
+    return Assemblage(sigma.swapaxes(0, 1)).validate()
 
 
 def correlator(box: Box, x: int, y: int) -> float:

@@ -86,7 +86,6 @@ class Report:
     inputs: dict
     results: dict
     version: str = __version__
-    timing: None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -94,7 +93,6 @@ class Report:
             "inputs": self.inputs,
             "results": self.results,
             "version": self.version,
-            "timing": self.timing,
         }
 
 

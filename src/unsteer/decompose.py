@@ -152,9 +152,6 @@ class InfeasibilityTrace:
     sound: bool
     exhaustive: bool
 
-    def to_json_list(self) -> list:
-        return [{"case": c, "violated": v} for c, v in self.cases]
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -672,45 +669,39 @@ class _SearchContext:
 
     # -- constructive feasibility lanes --------------------------------------
 
-    def construct_product(self) -> LhvLhsModel | None:
-        """d = 1: the box can only be the product of its own marginals."""
-        alice = self.box.alice_marginal()
-        bob = self.box.bob_marginal()
-        bias = bob[:, 0] - bob[:, 1]
-        r = np.linalg.lstsq(self.dirs.directions, bias, rcond=None)[0]
-        nr = float(np.linalg.norm(r))
-        if nr > 1.0:
-            if nr > 1.0 + BLOCH_SLACK:
-                return None
-            r = r / nr
-        model = LhvLhsModel(
-            1, np.array([1.0]), alice[None, :, :], r[None, :], self.dirs
-        )
-        ok, _ = verify_lhv_lhs(model, self.box, self.tol)
-        return model if ok else None
+    def product_lane(self) -> tuple[LhvLhsModel | None, str | None]:
+        """d = 1: the box can only be the product of its own marginals.
 
-    def product_failure_reason(self) -> str | None:
-        """Sound reason why no single-class model exists, when one is available.
-
-        The product form is forced: any one-class model within tol of the box
-        has its Alice table pinned to the Alice marginal and its Bob statistics
-        pinned to the Bob marginal (both to a small multiple of tol), so a
-        large enough defect in the forced candidate is a proof.  Returns None
-        inside the grey zone where nothing sound can be said.
+        Returns (model, None) when the product model verifies.  Otherwise the
+        reason is sound whenever it is not None: any one-class model within
+        tol of the box has its Alice table pinned to the Alice marginal and
+        its Bob statistics pinned to the Bob marginal (both to a small
+        multiple of tol), so a large enough defect in the forced candidate
+        is a proof.  It is None inside the grey zone where nothing sound can
+        be said.
         """
         alice = self.box.alice_marginal()
         bob = self.box.bob_marginal()
         bias = bob[:, 0] - bob[:, 1]
         r = np.linalg.lstsq(self.dirs.directions, bias, rcond=None)[0]
+        nr = float(np.linalg.norm(r))
+        if nr <= 1.0 + BLOCH_SLACK:
+            state = r / nr if nr > 1.0 else r
+            model = LhvLhsModel(
+                1, np.array([1.0]), alice[None, :, :], state[None, :], self.dirs
+            )
+            ok, _ = verify_lhv_lhs(model, self.box, self.tol)
+            if ok:
+                return model, None
         residual = float(np.abs(self.dirs.directions @ r - bias).max())
         if residual > 4.0 * self.tol:
-            return "reconstruction_residual"
-        if float(np.linalg.norm(r)) > 1.0 + BLOCH_SLACK + 8.0 * self.tol:
-            return "bloch_norm_exceeds_weight"
+            return None, "reconstruction_residual"
+        if nr > 1.0 + BLOCH_SLACK + 8.0 * self.tol:
+            return None, "bloch_norm_exceeds_weight"
         product = np.einsum("xa,yb->xyab", alice, bob)
         if float(np.abs(product - self.box.p).max()) > 5.0 * self.tol:
-            return "reconstruction_residual"
-        return None
+            return None, "reconstruction_residual"
+        return None, None
 
     def construct_two_class(self) -> LhvLhsModel | None:
         """Rank-1 boxes with uniform marginals: split by the dominant
@@ -782,19 +773,14 @@ def search_lhs_bounded(
     universal = ctx.universal_reason(d)
 
     # Constructive fast lanes (every returned model has been re-verified).
+    product_reason: str | None = None
     if universal is None:
         if d == 1:
-            model = ctx.construct_product()
-            if model is not None:
-                return model
+            model, product_reason = ctx.product_lane()
         else:
             model = ctx.construct_two_class()
-            if model is not None:
-                return model
-
-    product_reason = (
-        ctx.product_failure_reason() if d == 1 and universal is None else None
-    )
+        if model is not None:
+            return model
 
     cases: list[tuple[tuple, str, str]] = []
     unresolved = False

@@ -44,11 +44,6 @@ class InvalidModel(UnsteerError):
     non-stochastic response table, or Bloch norm above 1)."""
 
 
-class UnsupportedMarginals(UnsteerError):
-    """Raised only when a caller demands an exhaustive verdict for a box with
-    non-uniform Alice marginals; the search itself flags rather than raises."""
-
-
 class UnsupportedN(UnsteerError):
     """A number of settings outside {2, 3}."""
 

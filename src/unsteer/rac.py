@@ -8,13 +8,12 @@ discord/efficiency non-monotonicity witnesses.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import optimize
 
+from .boxes import _born_products, _projectors, pauli_axes
 from .errors import (
     DegenerateAxis,
     DimensionMismatch,
@@ -24,14 +23,10 @@ from .errors import (
 )
 from .states import (
     BellDiagonalParams,
-    Projector,
+    _is_unit,
     bell_diagonal,
     canonical_form,
-    geometric_discord,
-    projector_matrix,
 )
-
-_AXES = np.eye(3)
 
 CSV_HEADER = "c1,c2,c3,separable,strength_n,efficiency_n,discord"
 
@@ -41,15 +36,14 @@ class RacSpec:
     """A concrete n->1 protocol: state, encodings, and decoding convention.
 
     encodings: (2^n, 3) unit vectors, row index = integer value of the input
-    string x (most significant bit first).  Decoding is b_i = a XOR b XOR
-    decode_flips[i]; with the signed encodings built here all flips are zero,
-    and axis_signs records sign(c_i') of the canonical triple for audit.
+    string x (most significant bit first).  Decoding is b_i = a XOR b; the
+    signed encodings built here make that correct on every axis, and
+    axis_signs records sign(c_i') of the canonical triple for audit.
     """
 
     n: int
     params: BellDiagonalParams
     encodings: np.ndarray
-    decode_flips: tuple[int, ...]
     axis_signs: tuple[int, ...]
 
     def __post_init__(self):
@@ -62,14 +56,10 @@ class RacSpec:
                 f"expected {2 ** self.n} encoding directions of length 3, "
                 f"got shape {enc.shape}"
             )
-        norms = np.linalg.norm(enc, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-9:
+        if not _is_unit(enc):
+            norms = np.linalg.norm(enc, axis=1)
             raise NonUnitDirection(
                 f"encoding directions must be unit vectors, worst norm {norms.max()!r}"
-            )
-        if len(self.decode_flips) != self.n:
-            raise DimensionMismatch(
-                f"expected {self.n} decode flips, got {len(self.decode_flips)}"
             )
 
 
@@ -162,7 +152,6 @@ def optimal_rac_spec(params: BellDiagonalParams, n: int) -> RacSpec:
         n=n,
         params=canon,
         encodings=encoding_directions(canon, n),
-        decode_flips=(0,) * n,
         axis_signs=signs,
     )
 
@@ -172,29 +161,18 @@ def simulate_rac(spec: RacSpec) -> RacResult:
 
     For each input x Alice measures m(x) . sigma on her half and communicates
     the outcome a; for target bit i Bob measures sigma_i, getting b, and
-    guesses a XOR b XOR decode_flips[i].  The table entry is the probability
-    that the guess equals x_i; P_min is its minimum.
+    guesses a XOR b.  The table entry is the probability that the guess
+    equals x_i; P_min is its minimum.
     """
     spec.params.validate()
     rho = bell_diagonal(spec.params)
     n = spec.n
-    table = np.zeros((2**n, n))
-    bob_projectors = [
-        [projector_matrix(Projector(_AXES[i], b)) for b in (0, 1)] for i in range(n)
-    ]
-    for x in range(2**n):
-        bits = _input_bits(x, n)
-        alice_projectors = [
-            projector_matrix(Projector(np.asarray(spec.encodings[x]), a)) for a in (0, 1)
-        ]
-        for i in range(n):
-            success = 0.0
-            for a in (0, 1):
-                for b in (0, 1):
-                    if (a ^ b ^ spec.decode_flips[i]) == bits[i]:
-                        joint = np.kron(alice_projectors[a], bob_projectors[i][b])
-                        success += float(np.trace(joint @ rho).real)
-            table[x, i] = success
+    alice = _projectors(spec.encodings)
+    bob = _projectors(pauli_axes(n).directions)
+    p = np.trace(_born_products(rho, alice, bob), axis1=-2, axis2=-1).real  # [x, i, a, b]
+    bits = np.array([_input_bits(x, n) for x in range(2**n)])
+    # The guess a XOR b is right when it equals x_i; a = 0 is summed first.
+    table = np.where(bits == 0, p[..., 0, 0] + p[..., 1, 1], p[..., 0, 1] + p[..., 1, 0])
     return RacResult(float(table.min()), table)
 
 
@@ -311,8 +289,8 @@ def _separable_canonical_grid(step: float) -> np.ndarray:
     return np.array(rows) + 0.0  # normalize any -0.0
 
 
-def _evaluate_grid_chunk(triples: np.ndarray, n: int) -> np.ndarray:
-    """(strength, efficiency, discord) columns for a chunk of canonical triples."""
+def _evaluate_grid(triples: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """(strength, efficiency, discord) columns of canonical grid triples."""
     c1, c2, c3 = triples[:, 0], triples[:, 1], triples[:, 2]
     strength = c2 if n == 2 else np.abs(c3)
     relevant = triples[:, :n]
@@ -325,15 +303,7 @@ def _evaluate_grid_chunk(triples: np.ndarray, n: int) -> np.ndarray:
             degenerate, 0.5, 0.5 * (1.0 + 1.0 / np.sqrt(total))
         )
     discord = (c2**2 + c3**2) / 2.0
-    return np.stack([strength, efficiency, discord], axis=1)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("UNSTEER_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    return strength, efficiency, discord
 
 
 def _find_witness_pair(
@@ -366,10 +336,6 @@ def sweep_separable_max(n: int, step: float = 0.01) -> SweepReport:
     """Evaluate strength, efficiency, and discord over all separable canonical
     grid triples and report the maximizers plus a non-monotonicity witness.
 
-    UNSTEER_THREADS (default 1) caps a chunked thread fan-out over the grid;
-    chunks are concatenated in order, so the output is identical at any
-    thread count.
-
     Raises:
         UnsupportedN: for n outside {2, 3}.
         OutOfRange: for step outside (0, 0.1].
@@ -379,15 +345,7 @@ def sweep_separable_max(n: int, step: float = 0.01) -> SweepReport:
     if not 0.0 < step <= 0.1:
         raise OutOfRange(f"step must lie in (0, 0.1], got {step}")
     triples = _separable_canonical_grid(step)
-    threads = _thread_count()
-    if threads == 1 or len(triples) < 2 * threads:
-        columns = _evaluate_grid_chunk(triples, n)
-    else:
-        chunks = np.array_split(triples, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda ch: _evaluate_grid_chunk(ch, n), chunks))
-        columns = np.concatenate(parts, axis=0)
-    strength, efficiency, discord = columns[:, 0], columns[:, 1], columns[:, 2]
+    strength, efficiency, discord = _evaluate_grid(triples, n)
     i_strength = int(np.argmax(strength))
     i_efficiency = int(np.argmax(efficiency))
     return SweepReport(

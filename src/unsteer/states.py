@@ -19,8 +19,8 @@ ComplexMatrix = np.ndarray
 DensityMatrix = np.ndarray
 """Hermitian, unit-trace, positive-semidefinite complex matrix."""
 
-# Tolerances: Hermiticity/trace at 1e-12, eigenvalue floor at -1e-10 to absorb
-# floating-point noise in user-supplied triples.
+# Tolerances: unit norm of Bloch directions at 1e-12, eigenvalue floor at
+# -1e-10 to absorb floating-point noise in user-supplied triples.
 ATOL_MATRIX = 1e-12
 ATOL_EIG = 1e-10
 
@@ -196,6 +196,13 @@ def apply_canonical_transform(params: BellDiagonalParams, transform) -> BellDiag
     return BellDiagonalParams(*(v + 0.0 for v in values))
 
 
+def _is_unit(vectors: np.ndarray) -> bool:
+    """Whether every row has norm within ATOL_MATRIX of 1 (NaN fails): the one
+    unit-norm bound of measurement sets, RAC encodings and projectors."""
+    norms = np.linalg.norm(np.atleast_2d(vectors), axis=-1)
+    return bool(np.all(np.abs(norms - 1.0) <= ATOL_MATRIX))
+
+
 def projector_matrix(p: Projector) -> ComplexMatrix:
     """(I + (-1)^outcome n.sigma)/2 for a unit direction n.
 
@@ -203,7 +210,7 @@ def projector_matrix(p: Projector) -> ComplexMatrix:
         NonUnitDirection: when |n| deviates from 1 by more than 1e-12.
     """
     direction = np.asarray(p.direction, dtype=float)
-    if abs(np.linalg.norm(direction) - 1.0) > ATOL_MATRIX:
+    if not _is_unit(direction):
         raise NonUnitDirection(f"direction {direction} has norm {np.linalg.norm(direction)!r}")
     n_sigma = sum(n_i * sigma for n_i, sigma in zip(direction, PAULIS))
     return (IDENTITY_2 + (-1.0) ** (p.outcome % 2) * n_sigma) / 2.0
@@ -234,11 +241,3 @@ def is_ppt(rho: ComplexMatrix, atol: float = ATOL_EIG) -> bool:
     """
     eigs = np.linalg.eigvalsh(partial_transpose(rho))
     return float(eigs.min()) >= -atol
-
-
-def assert_density_matrix(rho: ComplexMatrix, atol: float = ATOL_MATRIX) -> None:
-    """Raise AssertionError unless rho is Hermitian, unit-trace, and PSD."""
-    rho = np.asarray(rho)
-    assert np.allclose(rho, rho.conj().T, atol=atol), "not Hermitian"
-    assert abs(np.trace(rho).real - 1.0) <= atol, "trace differs from 1"
-    assert float(np.linalg.eigvalsh(rho).min()) >= -ATOL_EIG, "negative eigenvalue"

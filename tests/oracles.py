@@ -44,6 +44,38 @@ def born_box(rho, alice_dirs, bob_dirs):
     return p
 
 
+def born_assemblage(rho, alice_dirs):
+    """sigma(a|x) = Tr_A[(Pi_a^x (x) I) rho], the partial trace summed by loops."""
+    n = len(alice_dirs)
+    sigma = np.zeros((2, n, 2, 2), dtype=complex)
+    for x in range(n):
+        for a in (0, 1):
+            op = np.kron(qubit_projector(alice_dirs[x], a), ID2) @ rho
+            for i in (0, 1):
+                for k in (0, 1):
+                    for l in (0, 1):
+                        sigma[a, x, k, l] += op[2 * i + k, 2 * i + l]
+    return sigma
+
+
+def rac_table_loops(rho, encodings, n):
+    """Pr(a XOR b = x_i) for input x (most significant bit first) and target
+    bit i, with Alice measuring encodings[x] and Bob the i-th Pauli axis."""
+    table = np.zeros((2**n, n))
+    for x in range(2**n):
+        for i in range(n):
+            bit = (x >> (n - 1 - i)) & 1
+            for a in (0, 1):
+                for b in (0, 1):
+                    if a ^ b == bit:
+                        pi = np.kron(
+                            qubit_projector(encodings[x], a),
+                            qubit_projector(np.eye(3)[i], b),
+                        )
+                        table[x, i] += np.trace(rho @ pi).real
+    return table
+
+
 def partial_transpose_loops(rho):
     """Transpose the second qubit by reindexing rho[ij,kl] -> rho[il,kj]."""
     pt = np.zeros_like(np.asarray(rho, dtype=complex))

@@ -7,7 +7,6 @@ from unsteer import (
     Assemblage,
     BellDiagonalParams,
     Box,
-    DeterministicBox,
     DimensionMismatch,
     InvalidBox,
     MeasurementSet,
@@ -19,7 +18,6 @@ from unsteer import (
     box_to_json_dict,
     correlator,
     correlator_matrix,
-    deterministic_box,
     deterministic_strategies,
     estimate_params_from_box,
     pauli_axes,
@@ -31,6 +29,7 @@ from unsteer import (
 from oracles import (
     FROZEN,
     bell_diagonal_direct,
+    born_assemblage,
     born_box,
     random_physical_triple,
     random_unit_vectors,
@@ -49,6 +48,16 @@ class TestMeasurementSet:
         """Non-unit directions are rejected at construction."""
         with pytest.raises(DimensionMismatch):
             MeasurementSet(np.array([[1.0, 1.0, 0.0]]))
+
+    def test_unit_norm_bound_matches_born_rule(self):
+        """The constructor applies the projectors' bound |n| - 1 <= 1e-12 with
+        no relative slack, so every accepted set also builds a box."""
+        with pytest.raises(DimensionMismatch):
+            MeasurementSet(np.array([[1.0 + 1e-7, 0.0, 0.0]]))
+        with pytest.raises(DimensionMismatch):
+            MeasurementSet(np.array([[np.nan, 0.0, 0.0]]))
+        near = MeasurementSet(np.array([[1.0 + 5e-13, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        box_from_state(np.eye(4) / 4.0, near, pauli_axes(2))
 
     def test_is_mub(self):
         """Orthogonal axes are a qubit MUB; tilted ones are not."""
@@ -220,16 +229,6 @@ class TestDeterministicStrategies:
         table = strategy_table((1, 0, 1))
         assert table.tolist() == [[0, 1], [1, 0], [0, 1]]
 
-    def test_affine_box_matches_table(self):
-        """DeterministicBox(alpha, beta) has P(a|x) = 1 iff a = alpha*x XOR beta."""
-        for alpha in (0, 1):
-            for beta in (0, 1):
-                table = DeterministicBox(alpha, beta).table(2)
-                assert table == pytest.approx(deterministic_box(alpha, beta, 2))
-                for x in (0, 1):
-                    a = (alpha * x + beta) % 2
-                    assert table[x, a] == 1.0
-
 
 class TestAssemblage:
     def test_nonsignaling_sum(self):
@@ -239,6 +238,19 @@ class TestAssemblage:
         totals = [asm.sigma[0, x] + asm.sigma[1, x] for x in range(3)]
         for t in totals[1:]:
             assert t == pytest.approx(totals[0], abs=1e-13)
+
+    def test_matches_partial_trace_oracle(self):
+        """assemblage_from_state equals the kron-and-partial-trace loops on
+        random triples and random directions."""
+        rng = np.random.default_rng(59)
+        for _ in range(50):
+            c = random_physical_triple(rng)
+            alice = random_unit_vectors(rng, int(rng.integers(2, 4)))
+            asm = assemblage_from_state(
+                bell_diagonal(BellDiagonalParams(*c)), MeasurementSet(alice)
+            )
+            want = born_assemblage(bell_diagonal_direct(*c), alice)
+            assert np.abs(asm.sigma - want).max() <= 1e-13
 
     def test_traces_are_alice_marginals(self):
         """tr sigma(a|x) equals p(a|x) of the corresponding box."""

@@ -6,7 +6,9 @@ import pytest
 from unsteer import (
     BellDiagonalParams,
     DegenerateAxis,
+    NonUnitDirection,
     OutOfRange,
+    RacSpec,
     UnsupportedN,
     canonical_form,
     encoding_directions,
@@ -20,7 +22,13 @@ from unsteer import (
     sweep_separable_max,
 )
 
-from oracles import FROZEN, random_physical_triple
+from oracles import (
+    FROZEN,
+    bell_diagonal_direct,
+    rac_table_loops,
+    random_physical_triple,
+    random_unit_vectors,
+)
 
 
 class TestClassicalBounds:
@@ -125,6 +133,27 @@ class TestSimulation:
         res = simulate_rac(optimal_rac_spec(params, 3))
         assert res.p_min == pytest.approx(rac_efficiency_bd(params, 3), abs=1e-12)
 
+    def test_matches_loop_oracle_on_random_encodings(self):
+        """simulate_rac equals the kron Born-rule loops for arbitrary unit
+        encodings, not only the optimal ones."""
+        rng = np.random.default_rng(101)
+        for k in range(40):
+            n = 2 + k % 2
+            c = random_physical_triple(rng)
+            enc = random_unit_vectors(rng, 2**n)
+            spec = RacSpec(n, BellDiagonalParams(*c), enc, (1,) * n)
+            res = simulate_rac(spec)
+            want = rac_table_loops(bell_diagonal_direct(*c), enc, n)
+            assert np.abs(res.table - want).max() <= 1e-13
+            assert res.p_min == pytest.approx(want.min(), abs=1e-13)
+
+    def test_encodings_share_the_projector_bound(self):
+        """RacSpec rejects what simulate_rac's projectors would reject."""
+        enc = encoding_directions(BellDiagonalParams(0.6, 0.4, -0.2), 2)
+        enc[0] *= 1.0 + 1e-10
+        with pytest.raises(NonUnitDirection):
+            RacSpec(2, BellDiagonalParams(0.6, 0.4, -0.2), enc, (1, 1))
+
     def test_success_table_is_flat(self):
         """The optimal protocol equalizes success across inputs and bits."""
         rng = np.random.default_rng(97)
@@ -227,16 +256,6 @@ class TestSweep:
         assert lines[0] == "c1,c2,c3,separable,strength_n,efficiency_n,discord"
         assert len(lines) == len(rep.triples) + 1
         assert all(line.split(",")[3] == "true" for line in lines[1:])
-
-    def test_thread_fanout_is_deterministic(self, monkeypatch):
-        """UNSTEER_THREADS changes the schedule, never the numbers."""
-        base = sweep_separable_max(2, 0.02)
-        monkeypatch.setenv("UNSTEER_THREADS", "4")
-        threaded = sweep_separable_max(2, 0.02)
-        assert np.array_equal(base.triples, threaded.triples)
-        assert np.array_equal(base.strength, threaded.strength)
-        assert np.array_equal(base.efficiency, threaded.efficiency)
-        assert np.array_equal(base.discord, threaded.discord)
 
     def test_step_domain(self):
         """Steps outside (0, 0.1] are rejected."""

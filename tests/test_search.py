@@ -20,6 +20,7 @@ from unsteer import (
     certify_quantumness,
     pauli_axes,
     search_lhs_bounded,
+    state_from_bloch,
     two_set_remainder,
     verify_lhv_lhs,
     white_noise_bb84,
@@ -32,6 +33,11 @@ def bd_box(c1, c2, c3, n=2):
     """Aligned-Pauli box of a Bell-diagonal triple."""
     axes = pauli_axes(n)
     return box_from_state(bell_diagonal(BellDiagonalParams(c1, c2, c3)), axes, axes)
+
+
+def product_state():
+    """Alice's Bloch vector (0.6, 0.3, 0) times Bob's (0.2, 0.5, 0)."""
+    return np.kron(state_from_bloch([0.6, 0.3, 0.0]), state_from_bloch([0.2, 0.5, 0.0]))
 
 
 def pr_box():
@@ -143,6 +149,33 @@ class TestTopDimension:
         trace = search_lhs_bounded(bd_box(0.5, 0.5, 0.0), pauli_axes(2), 1)
         assert isinstance(trace, InfeasibilityTrace)
         assert trace.sound and trace.exhaustive
+
+    def test_product_lane_returns_the_product_model(self):
+        """A product state's box is modelled at d = 1 by its own marginals."""
+        axes = pauli_axes(2)
+        model = search_lhs_bounded(box_from_state(product_state(), axes, axes), axes, 1)
+        assert isinstance(model, LhvLhsModel) and model.dimension == 1
+        assert model.bob_states[0] == pytest.approx([0.2, 0.5, 0.0], abs=1e-12)
+
+    def test_product_lane_residual_proof(self):
+        """A correlated box with non-uniform Alice marginals is retired at
+        d = 1 by the forced product's reconstruction residual alone."""
+        mix = 0.5 * product_state() + 0.5 * bell_diagonal(BellDiagonalParams(0.4, 0.3, -0.2))
+        axes = pauli_axes(2)
+        trace = search_lhs_bounded(box_from_state(mix, axes, axes), axes, 1)
+        assert isinstance(trace, InfeasibilityTrace)
+        assert trace.sound and trace.exhaustive
+        assert {reason for _, reason in trace.cases} == {"reconstruction_residual"}
+
+    def test_product_lane_bloch_norm_proof(self):
+        """Uniform Alice with p(b=0|y) = 1 on three orthogonal axes needs a
+        Bob Bloch vector of norm sqrt(3), which the d = 1 lane rejects."""
+        p = np.zeros((3, 3, 2, 2))
+        p[:, :, :, 0] = 0.5
+        trace = search_lhs_bounded(Box(3, p), pauli_axes(3), 1)
+        assert isinstance(trace, InfeasibilityTrace)
+        assert trace.sound and trace.exhaustive
+        assert "bloch_norm_exceeds_weight" in {reason for _, reason in trace.cases}
 
     def test_bad_dimension_rejected(self):
         """d outside [1, 2^n] is an error."""
