@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -38,7 +39,7 @@ from .decompose import (
     schrodinger_strength_bd,
     steering_cost_bb84,
 )
-from .errors import DegenerateAxis, ParseError, UnsteerError
+from .errors import DegenerateAxis, OutOfRange, ParseError, UnsteerError
 from .rac import (
     SweepReport,
     optimal_rac_spec,
@@ -76,6 +77,11 @@ class CommandSpec:
     v: float | None = None
     out: str | None = None
     fmt: str | None = None  # None resolves to the command default
+
+    def __post_init__(self):
+        # Reports echo tol, so a NaN would also make the JSON invalid.
+        if not 0.0 <= self.tol < math.inf:
+            raise OutOfRange(f"tol must be finite and >= 0, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -423,10 +429,10 @@ def _sweep_results(report: SweepReport) -> dict:
     }
 
 
-def _run_sweep(spec: CommandSpec) -> tuple[Report, SweepReport]:
+def _run_sweep(spec: CommandSpec) -> Report:
     sweep = sweep_separable_max(spec.n, spec.step)
     inputs = {"n": spec.n, "step": spec.step}
-    return Report("sweep", inputs, _sweep_results(sweep)), sweep
+    return Report("sweep", inputs, _sweep_results(sweep))
 
 
 def _bb84_row(v: float, spec: CommandSpec) -> dict:
@@ -447,8 +453,11 @@ def _run_bb84(spec: CommandSpec) -> Report:
         rows = [_bb84_row(spec.v, spec)]
         inputs: dict = {"v": spec.v, "dim": spec.dim, "tol": spec.tol}
     else:
-        count = int(round(1.0 / spec.step))
-        grid = [min(1.0, i * spec.step) for i in range(count + 1)]
+        if not 0.0 < spec.step <= 1.0:
+            raise OutOfRange(f"step must lie in (0, 1], got {spec.step}")
+        # The grid always ends at V = 1, also when the step does not divide 1.
+        count = math.ceil(1.0 / spec.step - 1e-9)
+        grid = [i * spec.step for i in range(count)] + [1.0]
         rows = [_bb84_row(v, spec) for v in grid]
         inputs = {"step": spec.step, "dim": spec.dim, "tol": spec.tol}
     return Report("bb84", inputs, {"rows": rows})
@@ -475,7 +484,7 @@ def run(spec: CommandSpec) -> Report:
     if spec.command == "rac":
         return _run_rac(spec)
     if spec.command == "sweep":
-        return _run_sweep(spec)[0]
+        return _run_sweep(spec)
     if spec.command == "bb84":
         return _run_bb84(spec)
     raise ParseError(f"unknown command {spec.command!r}")
@@ -487,15 +496,13 @@ def _resolve_format(spec: CommandSpec) -> str:
     return "csv" if spec.command == "sweep" else "json"
 
 
-def _render(spec: CommandSpec, report: Report, sweep: SweepReport | None) -> str:
+def _render(spec: CommandSpec, report: Report) -> str:
     fmt = _resolve_format(spec)
     if fmt == "json":
         return dumps_deterministic(report.to_json_dict()) + "\n"
     if fmt == "text":
         return render_text(report)
     if fmt == "csv":
-        if spec.command == "sweep":
-            return "\n".join(sweep_csv_lines(sweep)) + "\n"
         if spec.command == "bb84":
             lines = [BB84_CSV_HEADER]
             for row in report.results["rows"]:
@@ -586,14 +593,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    spec = _spec_from_args(args)
     started = time.perf_counter()
     try:
-        if spec.command == "sweep":
-            report, sweep = _run_sweep(spec)
+        spec = _spec_from_args(args)
+        if spec.command == "sweep" and _resolve_format(spec) == "csv":
+            # The CSV is written from the grid columns; the JSON rows are not built.
+            sweep = sweep_separable_max(spec.n, spec.step)
+            payload = "\n".join(sweep_csv_lines(sweep)) + "\n"
         else:
-            report, sweep = run(spec), None
-        payload = _render(spec, report, sweep)
+            payload = _render(spec, run(spec))
     except UnsteerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .boxes import (
     Box,
@@ -502,6 +501,13 @@ class _SearchContext:
     """Shared precomputation for one search call."""
 
     def __init__(self, box: Box, bob_dirs: MeasurementSet, tol: float):
+        # Every search loads scipy, not only one that reaches SLSQP
+        # refinement: whether an input refines is known only after solving,
+        # and a process whose memory and start-up hinged on that would vary
+        # from one input to the next.  Commands that never search load none.
+        from scipy import optimize
+
+        self.optimize = optimize
         self.box = box
         self.n = box.n
         self.dirs = bob_dirs
@@ -657,7 +663,7 @@ class _SearchContext:
         )
         x0 = np.zeros(k + 1)
         x0[k] = start_violation + 1e-6
-        result = optimize.minimize(
+        result = self.optimize.minimize(
             lambda x: x[k],
             x0,
             constraints=constraints,

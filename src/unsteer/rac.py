@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .boxes import _born_products, _projectors, pauli_axes
 from .errors import (
@@ -202,6 +201,9 @@ def optimize_rac(params: BellDiagonalParams, n: int, restarts: int = 20) -> RacR
     Raises:
         UnphysicalParams, UnsupportedN: on malformed input.
     """
+    # Imported here so that the closed-form paths never load scipy.
+    from scipy import optimize
+
     params.validate()
     if n not in (2, 3):
         raise UnsupportedN(f"n must be 2 or 3, got {n}")
@@ -369,15 +371,16 @@ def sweep_csv_lines(report: SweepReport) -> list[str]:
     """The sweep as CSV lines: mandatory header, 17-significant-digit floats,
     and a literal true/false separable column (the grid is separable by
     construction)."""
-    lines = [CSV_HEADER]
-    for row, s, e, d in zip(
-        report.triples, report.strength, report.efficiency, report.discord
-    ):
-        lines.append(
-            ",".join(
-                [format(float(v) + 0.0, ".17g") for v in row]
-                + ["true"]
-                + [format(float(v) + 0.0, ".17g") for v in (s, e, d)]
-            )
-        )
-    return lines
+    columns = np.column_stack(
+        (report.triples, report.strength, report.efficiency, report.discord)
+    ) + 0.0  # normalize any -0.0
+    # Grid columns repeat heavily, so each distinct value is formatted once;
+    # the constant separable column is one more entry of the same table.
+    values, inverse = np.unique(columns, return_inverse=True)
+    text = np.array(
+        [format(v, ".17g") for v in values.tolist()] + ["true"], dtype=object
+    )
+    cells = np.insert(inverse.reshape(columns.shape), 3, len(values), axis=1)
+    # Joining column lists through zip builds no per-row list, which would
+    # otherwise leave tens of thousands of objects for the garbage collector.
+    return [CSV_HEADER, *map(",".join, zip(*text[cells.T].tolist()))]

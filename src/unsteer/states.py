@@ -7,6 +7,7 @@ function of its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,14 @@ class BellDiagonalParams:
         """Return self if all four eigenvalues are >= -atol, else raise.
 
         Raises:
-            UnphysicalParams: naming the offending eigenvalue.
+            UnphysicalParams: naming the offending eigenvalue, or the triple
+                when a component is not finite (NaN passes every comparison).
         """
+        if not all(map(math.isfinite, (self.c1, self.c2, self.c3))):
+            raise UnphysicalParams(
+                f"triple ({self.c1}, {self.c2}, {self.c3}) is unphysical: "
+                "components must be finite"
+            )
         lam = bd_eigenvalues(self)
         labels = ("lambda_00", "lambda_01", "lambda_10", "lambda_11")
         k = int(np.argmin(lam))

@@ -103,6 +103,24 @@ def model_box_loops(weights, alice_tables, bob_states, bob_dirs):
     return p
 
 
+def sweep_csv_loop(report):
+    """Sweep CSV lines formatted one float at a time: header, the triple,
+    a literal true, then strength, efficiency and discord, each as a
+    17-significant-digit decimal with -0.0 written as 0."""
+    lines = ["c1,c2,c3,separable,strength_n,efficiency_n,discord"]
+    for row, s, e, d in zip(
+        report.triples, report.strength, report.efficiency, report.discord
+    ):
+        lines.append(
+            ",".join(
+                [format(float(v) + 0.0, ".17g") for v in row]
+                + ["true"]
+                + [format(float(v) + 0.0, ".17g") for v in (s, e, d)]
+            )
+        )
+    return lines
+
+
 def random_physical_triple(rng):
     """Rejection-sample a triple with all four Bell eigenvalues >= 0."""
     while True:

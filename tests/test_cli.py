@@ -122,6 +122,39 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read box file" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rac", "--c", "nan,nan,nan"],
+            ["rac", "--n", "3", "--c", "nan,0,0"],
+            ["state", "--c", "inf,inf,-inf"],
+        ],
+    )
+    def test_non_finite_triple(self, argv):
+        """A NaN or infinite component is a named validation error, exit 2."""
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "must be finite" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance(self, tol):
+        """--tol must be finite and nonnegative; reports echo it, so a NaN
+        would be written as the invalid JSON token nan."""
+        code, out, err = run_cli(["certify", "--c", "0.5,0.5,0", "--tol", tol])
+        assert code == 2
+        assert out == ""
+        assert "error: tol must be finite" in err
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "1.5"])
+    def test_bb84_step_domain(self, step):
+        """bb84 --step lies in (0, 1]: 0 would divide by zero and a negative
+        step would print an empty grid."""
+        code, out, err = run_cli(["bb84", "--step", step])
+        assert code == 2
+        assert out == ""
+        assert "error: step must lie in (0, 1]" in err
+
 
 class TestStateCommand:
     def test_report_blocks(self):
@@ -218,6 +251,31 @@ class TestOtherCommands:
         assert r["strength_max"]["params"] == [0.5, 0.5, 0.0]
         assert r["witness_pair"] is not None
 
+    def test_bb84_grid_ends_at_one(self):
+        """A step that does not divide 1 still evaluates V = 1 last."""
+        code, out, _ = run_cli(["bb84", "--step", "0.03"])
+        v = [row["v"] for row in json.loads(out)["results"]["rows"]]
+        assert code == 0
+        assert len(v) == 35
+        assert v[:34] == [i * 0.03 for i in range(34)]
+        assert v[-1] == 1.0
+
+    def test_sweep_rows_in_every_format(self):
+        """json and text carry every sweep row; csv has one line per row."""
+        argv = ["sweep", "--n", "3", "--step", "0.05"]
+        _, csv_text, _ = run_cli(argv)
+        rows = [line.split(",") for line in csv_text.splitlines()[1:]]
+        _, json_text, _ = run_cli(argv + ["--format", "json"])
+        results = json.loads(json_text)["results"]
+        assert results["count"] == len(results["rows"]) == len(rows) > 0
+        assert results["rows"] == [
+            [float(r[0]), float(r[1]), float(r[2]), True, *map(float, r[4:])]
+            for r in rows
+        ]
+        _, text, _ = run_cli(argv + ["--format", "text"])
+        assert f"count: {len(rows)}" in text.splitlines()
+        assert f"rows: <{len(rows)} items>" in text.splitlines()
+
     def test_csv_rejected_elsewhere(self):
         """--format csv is only meaningful for sweep and bb84."""
         code, _, err = run_cli(["state", "--c", "0.5,0.5,0", "--format", "csv"])
@@ -238,13 +296,18 @@ class TestDeterminism:
             assert first == second, argv
 
     def test_out_file_matches_stdout(self, tmp_path):
-        """--out writes exactly the bytes that stdout would carry."""
-        _, stdout_text, _ = run_cli(["certify", "--c", "0.5,0.5,0"])
-        target = tmp_path / "report.json"
-        code, out, _ = run_cli(["certify", "--c", "0.5,0.5,0", "--out", str(target)])
-        assert code == 0
-        assert out == ""
-        assert target.read_text() == stdout_text
+        """--out writes exactly the bytes that stdout would carry, on the
+        report path and on the sweep csv path."""
+        for argv, name in (
+            (["certify", "--c", "0.5,0.5,0"], "report.json"),
+            (["sweep", "--n", "2", "--step", "0.05"], "nested/sweep.csv"),
+        ):
+            _, stdout_text, _ = run_cli(argv)
+            target = tmp_path / name
+            code, out, _ = run_cli(argv + ["--out", str(target)])
+            assert code == 0
+            assert out == ""
+            assert target.read_text() == stdout_text
 
     def test_timing_goes_to_stderr(self):
         """The elapsed line never contaminates the report stream."""

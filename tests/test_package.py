@@ -1,4 +1,10 @@
-"""The package's public surface."""
+"""The package's public surface and what importing it loads."""
+
+import os
+import subprocess
+import sys
+
+import scipy.optimize
 
 import unsteer
 
@@ -10,3 +16,98 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from unsteer import *", namespace)
     assert set(unsteer.__all__) <= set(namespace)
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_fresh(args):
+    """Run a fresh interpreter with the package on its path; return stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr
+
+
+def test_import_and_version_leave_scipy_unloaded():
+    """Only the hidden-state search and optimize_rac load scipy, so importing
+    the package and its CLI, or printing the version, never does."""
+    out, _ = run_fresh(
+        ["-c", "import sys, unsteer, unsteer.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"]
+    )
+    assert out.strip() == "[]"
+    out, err = run_fresh(["-X", "importtime", "-m", "unsteer", "--version"])
+    assert out.strip() == f"unsteer {unsteer.__version__}"
+    imported = [line.rsplit("|", 1)[-1].strip() for line in err.splitlines()]
+    assert "unsteer.cli" in imported
+    assert not [name for name in imported if name.split(".")[0] == "scipy"]
+
+
+
+SCIPY_BY_SEARCH = """
+import sys
+import unsteer as u
+loaded = lambda: any(m.split(".")[0] == "scipy" for m in sys.modules)
+axes = u.pauli_axes(2)
+box = u.box_from_state(u.bell_diagonal(u.BellDiagonalParams(0.0, 0.0, 0.0)), axes, axes)
+u.sweep_separable_max(2, 0.1)
+u.simulate_rac(u.optimal_rac_spec(u.BellDiagonalParams(0.6, 0.5, -0.4), 3))
+print(loaded())
+model = u.search_lhs_bounded(box, axes, 1)
+print(type(model).__name__, loaded())
+"""
+
+
+def test_every_search_loads_scipy():
+    """A search loads scipy even when it never refines (here the d=1 product
+    lane answers at once), so a process's memory does not hinge on whether
+    some input happens to reach SLSQP; closed-form calls load none."""
+    out, _ = run_fresh(["-c", SCIPY_BY_SEARCH])
+    assert out.splitlines() == ["False", "LhvLhsModel True"]
+
+
+FRESH_SOLVES = """
+import json, sys
+import unsteer as u
+from unsteer.cli import dumps_deterministic
+assert "scipy" not in sys.modules
+rac = u.optimize_rac(u.BellDiagonalParams(0.6, 0.5, -0.4), 3)
+axes = u.pauli_axes(2)
+box = u.box_from_state(u.bell_diagonal(u.BellDiagonalParams(0.5, 0.4, -0.3)), axes, axes)
+cert = u.certify_quantumness(box, 2, d_A=3)
+print(dumps_deterministic({"p_min": rac.p_min, "table": rac.table}))
+print(dumps_deterministic(cert.to_json_dict()))
+"""
+
+
+def test_lazy_scipy_gives_in_process_results():
+    """Nelder-Mead and an SLSQP-refining certificate, run in an interpreter
+    that loads scipy on first use, equal the in-process results bit for bit."""
+    from unsteer.cli import dumps_deterministic
+
+    rac = unsteer.optimize_rac(unsteer.BellDiagonalParams(0.6, 0.5, -0.4), 3)
+    axes = unsteer.pauli_axes(2)
+    box = unsteer.box_from_state(
+        unsteer.bell_diagonal(unsteer.BellDiagonalParams(0.5, 0.4, -0.3)), axes, axes
+    )
+    calls = []
+    minimize = scipy.optimize.minimize
+
+    def counting_minimize(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return minimize(*args, **kwargs)
+
+    scipy.optimize.minimize = counting_minimize
+    try:
+        cert = unsteer.certify_quantumness(box, 2, d_A=3)
+    finally:
+        scipy.optimize.minimize = minimize
+    assert "SLSQP" in calls
+    out, _ = run_fresh(["-c", FRESH_SOLVES])
+    assert out.splitlines() == [
+        dumps_deterministic({"p_min": rac.p_min, "table": rac.table}),
+        dumps_deterministic(cert.to_json_dict()),
+    ]

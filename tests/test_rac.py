@@ -28,6 +28,7 @@ from oracles import (
     rac_table_loops,
     random_physical_triple,
     random_unit_vectors,
+    sweep_csv_loop,
 )
 
 
@@ -256,6 +257,13 @@ class TestSweep:
         assert lines[0] == "c1,c2,c3,separable,strength_n,efficiency_n,discord"
         assert len(lines) == len(rep.triples) + 1
         assert all(line.split(",")[3] == "true" for line in lines[1:])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("step", [0.01, 0.03, 0.07, 0.1])
+    def test_csv_matches_loop_oracle(self, n, step):
+        """Formatting each distinct value once gives the per-float lines."""
+        rep = sweep_separable_max(n, step)
+        assert sweep_csv_lines(rep) == sweep_csv_loop(rep)
 
     def test_step_domain(self):
         """Steps outside (0, 0.1] are rejected."""

@@ -40,6 +40,14 @@ class TestParamsValidation:
         with pytest.raises(UnphysicalParams, match="lambda_11"):
             BellDiagonalParams(0.9, 0.9, 0.9).validate()
 
+    @pytest.mark.parametrize(
+        "c", [(np.nan, 0.0, 0.0), (np.nan, np.nan, np.nan), (np.inf, np.inf, -np.inf)]
+    )
+    def test_non_finite_triple_rejected(self, c):
+        """NaN eigenvalues pass every comparison, so finiteness is checked first."""
+        with pytest.raises(UnphysicalParams, match="must be finite"):
+            BellDiagonalParams(*c).validate()
+
     def test_vertex_states_are_physical(self):
         """All four Bell-state vertices of the tetrahedron validate."""
         for c3 in (1.0, -1.0):
