@@ -41,6 +41,7 @@ from .decompose import (
 )
 from .errors import DegenerateAxis, OutOfRange, ParseError, UnsteerError
 from .rac import (
+    MIN_STEP,
     SweepReport,
     optimal_rac_spec,
     rac_classical_bound,
@@ -453,8 +454,8 @@ def _run_bb84(spec: CommandSpec) -> Report:
         rows = [_bb84_row(spec.v, spec)]
         inputs: dict = {"v": spec.v, "dim": spec.dim, "tol": spec.tol}
     else:
-        if not 0.0 < spec.step <= 1.0:
-            raise OutOfRange(f"step must lie in (0, 1], got {spec.step}")
+        if not MIN_STEP <= spec.step <= 1.0:
+            raise OutOfRange(f"step must lie in [{MIN_STEP}, 1], got {spec.step}")
         # The grid always ends at V = 1, also when the step does not divide 1.
         count = math.ceil(1.0 / spec.step - 1e-9)
         grid = [i * spec.step for i in range(count)] + [1.0]

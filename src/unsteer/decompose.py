@@ -28,6 +28,7 @@ Three facts the search leans on (all exercised by the test suite):
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -483,18 +484,24 @@ def _set_partitions(items: tuple, k: int):
     yield from rec(1, 1)
 
 
-def _strategy_name(strategy: tuple[int, ...]) -> str:
-    return "".join(str(bit) for bit in strategy)
-
-
-def _phase1_label(assignment) -> str:
-    return "deterministic:" + "+".join(_strategy_name(s) for s in assignment)
-
-
-def _phase2_label(partition) -> str:
-    return "grouped:" + "|".join(
-        ",".join(_strategy_name(s) for s in cls) for cls in partition
-    )
+@functools.lru_cache(maxsize=None)
+def _case_labels(n: int, d: int) -> tuple[str, ...]:
+    """Every case label of a search at (n, d), in trace order: the phase-1
+    slot assignments lexicographically, then the phase-2 groupings sorted by
+    (d', subset, partition).  Strategy names are equal-length bit strings, so
+    they sort as the strategies do."""
+    names = ["".join(map(str, s)) for s in deterministic_strategies(n)]
+    labels = [
+        "deterministic:" + "+".join(assignment)
+        for assignment in itertools.combinations_with_replacement(names, d)
+    ]
+    for d_prime in range(d + 1, len(names) + 1):
+        for subset in itertools.combinations(names, d_prime):
+            labels += (
+                "grouped:" + "|".join(map(",".join, partition))
+                for partition in sorted(_set_partitions(subset, d))
+            )
+    return tuple(labels)
 
 
 class _SearchContext:
@@ -520,24 +527,20 @@ class _SearchContext:
         self.orthonormal = bob_dirs.is_mub()
         self.diag_norm = float(np.sqrt((np.diag(self.C) ** 2).sum()))
         # Per-strategy coefficient blocks (columns: q_l, then s_l in R^3) so
-        # that a case's system matrix is just a column concatenation.
-        rows = 4 * self.n * self.n + 1
-        self.rows = rows
-        d_mat = bob_dirs.directions
-        self.blocks: dict[tuple, np.ndarray] = {}
-        for strat in self.strategies:
-            block = np.zeros((rows, 4))
-            r = 0
-            for x in range(self.n):
-                for y in range(self.n):
-                    for a in (0, 1):
-                        for b in (0, 1):
-                            if strat[x] == a:
-                                block[r, 0] = 0.5
-                                block[r, 1:4] = 0.5 * (-1.0) ** b * d_mat[y]
-                            r += 1
-            block[rows - 1, 0] = 1.0  # weights sum to 1
-            self.blocks[strat] = block
+        # that a case's system matrix is just a column concatenation.  Row
+        # (x, y, a, b) is 0.5 * (1, (-1)^b dir_y) where the strategy answers
+        # a on x, else zero; the last row makes the weights sum to 1.
+        n = self.n
+        entries = np.empty((n, 2, 4))  # (y, b, column)
+        entries[..., 0] = 0.5
+        entries[..., 1:] = np.array([0.5, -0.5])[:, None] * bob_dirs.directions[:, None]
+        answers = np.array(self.strategies)[:, :, None] == np.arange(2)  # (s, x, a)
+        blocks = np.zeros((len(self.strategies), 4 * n * n + 1, 4))
+        blocks[:, :-1] = np.where(
+            answers[:, :, None, :, None, None], entries[:, None, :, :], 0.0
+        ).reshape(len(self.strategies), 4 * n * n, 4)
+        blocks[:, -1, 0] = 1.0
+        self.blocks = dict(zip(self.strategies, blocks))
         self.rhs = np.concatenate([box.p.reshape(-1), [1.0]])
 
     # -- model-universal obstructions ---------------------------------------
@@ -553,11 +556,12 @@ class _SearchContext:
         return self.orthonormal and self.diag_norm > 1.0 + 8.0 * self.tol
 
     def row_norm_obstruction(self, d: int) -> bool:
-        """At d <= 2 with uniform Alice marginals every row of C has 2-norm
-        <= 1: the two class correlation functions are opposite, so each is
-        bounded by min(Q_0, Q_1) <= 1/2, and the Bob states differ by at
-        most 2."""
-        if not self.uniform_alice or d > 2:
+        """At d <= 2 with uniform Alice marginals and orthonormal directions
+        every row of C has 2-norm <= 1: the two class correlation functions
+        are opposite, so each is bounded by min(Q_0, Q_1) <= 1/2, and the Bob
+        states differ by at most 2.  Non-orthogonal directions can stretch a
+        row beyond the Bloch-vector difference it projects."""
+        if not (self.orthonormal and self.uniform_alice) or d > 2:
             return False
         return float(np.linalg.norm(self.C, axis=1).max()) > 1.0 + 8.0 * self.tol
 
@@ -754,15 +758,21 @@ def search_lhs_bounded(
     q_l = p(l) and s_l = p(l) * (Bloch vector of Bob's hidden state);
     feasibility additionally needs q_l >= 0 and |s_l| <= q_l.  Phase 2 covers
     stochastic Alice responses by grouping d' <= 2^n deterministic strategies
-    into d classes sharing a Bob state each; those cases are retired by
-    model-universal correlator obstructions where available, and otherwise
-    reported unresolved.
+    into d classes sharing a Bob state each.
+
+    A blanket reason retires every case at once: a model-universal
+    correlator obstruction, or else, at d = 2^n, a sound rejection of the
+    all-distinct assignment, which is solved first and only once.  Phase-1
+    assignments are solved one by one only while no blanket reason holds.
+    Every other case takes the blanket reason, the d = 1 product-lane proof,
+    or is reported unresolved.  The case labels depend only on (n, d) and
+    are built once per process.
 
     Returns:
         A verified LhvLhsModel, or an InfeasibilityTrace listing every case
         with the constraint it violates.  The trace's sound/exhaustive flags
-        state exactly how much the rejection proves; boxes with non-uniform
-        Alice marginals never earn an exhaustive trace at 1 < d < 2^n.
+        state exactly how much the rejection proves; at 1 < d < 2^n only a
+        correlator obstruction makes a trace exhaustive.
 
     Raises:
         InvalidBox, DimensionMismatch, OutOfRange: on malformed input.
@@ -776,11 +786,12 @@ def search_lhs_bounded(
     if not 1 <= d <= d_top:
         raise OutOfRange(f"d must lie in [1, {d_top}], got {d}")
     ctx = _SearchContext(box, bob_dirs, tol)
-    universal = ctx.universal_reason(d)
+    # One reason that retires every case at once, when there is one.
+    blanket = ctx.universal_reason(d)
 
     # Constructive fast lanes (every returned model has been re-verified).
     product_reason: str | None = None
-    if universal is None:
+    if blanket is None:
         if d == 1:
             model, product_reason = ctx.product_lane()
         else:
@@ -788,67 +799,34 @@ def search_lhs_bounded(
         if model is not None:
             return model
 
-    cases: list[tuple[tuple, str, str]] = []
-    unresolved = False
     # At the top dimension the all-distinct assignment is fully general: a
-    # sound rejection there retires every remaining case a fortiori.
-    top_reason: str | None = None
+    # sound rejection there retires every other case a fortiori.
+    top = ctx.strategies if d == d_top else None
+    if blanket is None and top is not None:
+        model, top_reason = ctx.solve_phase1(top)
+        if model is not None:
+            return model
+        if top_reason in _SOUND_CASE_REASONS:
+            blanket = top_reason
 
-    assignments = list(itertools.combinations_with_replacement(ctx.strategies, d))
-    if d == d_top:
-        assignments.sort(key=lambda a: len(set(a)) != d)
-    for assignment in assignments:
-        if universal is not None:
-            reason = universal
-        elif top_reason is not None:
-            reason = top_reason
-        else:
-            model, reason = ctx.solve_phase1(assignment)
-            if model is not None:
-                return model
-            if reason == "unresolved" and product_reason is not None:
-                reason = product_reason
-            if (
-                d == d_top
-                and len(set(assignment)) == d
-                and reason in _SOUND_CASE_REASONS
-            ):
-                top_reason = reason
-        if reason == "unresolved":
-            unresolved = True
-        cases.append(((0, assignment), _phase1_label(assignment), reason))
-
-    for d_prime in range(d + 1, d_top + 1):
-        for subset in itertools.combinations(ctx.strategies, d_prime):
-            for partition in _set_partitions(subset, d):
-                if universal is not None:
-                    reason = universal
-                elif top_reason is not None:
-                    reason = top_reason
-                elif product_reason is not None:
+    reasons: list[str] = []
+    if blanket is None:
+        for assignment in itertools.combinations_with_replacement(ctx.strategies, d):
+            if assignment == top:
+                reason = top_reason
+            else:
+                model, reason = ctx.solve_phase1(assignment)
+                if model is not None:
+                    return model
+                if reason == "unresolved" and product_reason is not None:
                     reason = product_reason
-                else:
-                    reason = "unresolved"
-                if reason == "unresolved":
-                    unresolved = True
-                cases.append(
-                    (
-                        (1, d_prime, subset, partition),
-                        _phase2_label(partition),
-                        reason,
-                    )
-                )
+            reasons.append(reason)
 
-    cases.sort(key=lambda item: item[0])
-    sound = not unresolved
-    exhaustive = sound and (
-        universal is not None
-        or top_reason is not None
-        or (d == 1 and product_reason is not None)
-    )
-    return InfeasibilityTrace(
-        d, tuple((label, reason) for _, label, reason in cases), sound, exhaustive
-    )
+    labels = _case_labels(box.n, d)
+    reasons += [blanket or product_reason or "unresolved"] * (len(labels) - len(reasons))
+    sound = "unresolved" not in reasons
+    exhaustive = sound and (blanket is not None or product_reason is not None)
+    return InfeasibilityTrace(d, tuple(zip(labels, reasons)), sound, exhaustive)
 
 
 def certify_quantumness(

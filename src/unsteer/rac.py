@@ -29,6 +29,10 @@ from .states import (
 
 CSV_HEADER = "c1,c2,c3,separable,strength_n,efficiency_n,discord"
 
+# Smallest grid step of a sweep or a bb84 curve: an n=3 sweep at 0.005 already
+# has 457,945 rows, and a step near zero has no finite grid at all.
+MIN_STEP = 0.005
+
 
 @dataclass(frozen=True)
 class RacSpec:
@@ -340,12 +344,12 @@ def sweep_separable_max(n: int, step: float = 0.01) -> SweepReport:
 
     Raises:
         UnsupportedN: for n outside {2, 3}.
-        OutOfRange: for step outside (0, 0.1].
+        OutOfRange: for step outside [MIN_STEP, 0.1].
     """
     if n not in (2, 3):
         raise UnsupportedN(f"n must be 2 or 3, got {n}")
-    if not 0.0 < step <= 0.1:
-        raise OutOfRange(f"step must lie in (0, 0.1], got {step}")
+    if not MIN_STEP <= step <= 0.1:
+        raise OutOfRange(f"step must lie in [{MIN_STEP}, 0.1], got {step}")
     triples = _separable_canonical_grid(step)
     strength, efficiency, discord = _evaluate_grid(triples, n)
     i_strength = int(np.argmax(strength))

@@ -5,6 +5,8 @@ np.kron, deliberately avoiding the package's own vectorized code paths, so
 that agreement between the two is evidence rather than tautology.
 """
 
+import itertools
+
 import numpy as np
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -119,6 +121,69 @@ def sweep_csv_loop(report):
             )
         )
     return lines
+
+
+def set_partitions(items, k):
+    """Partitions of a sorted list into exactly k nonempty classes, each
+    class sorted and the classes ordered by their first member."""
+    def all_partitions(rest):
+        if not rest:
+            yield []
+            return
+        head = rest[0]
+        for tail in all_partitions(rest[1:]):
+            yield [[head]] + tail
+            for i in range(len(tail)):
+                yield tail[:i] + [[head] + tail[i]] + tail[i + 1:]
+
+    for partition in all_partitions(list(items)):
+        if len(partition) == k:
+            yield tuple(sorted(tuple(cls) for cls in partition))
+
+
+def search_case_labels(n, d):
+    """Case labels of a bounded search at (n, d), enumerated phase by phase
+    and then sorted by (phase, assignment) and (phase, d', subset, partition)."""
+    strategies = list(itertools.product((0, 1), repeat=n))
+
+    def name(strategy):
+        return "".join(str(bit) for bit in strategy)
+
+    cases = []
+    for assignment in itertools.combinations_with_replacement(strategies, d):
+        label = "deterministic:" + "+".join(name(s) for s in assignment)
+        cases.append(((0, assignment), label))
+    for d_prime in range(d + 1, 2**n + 1):
+        for subset in itertools.combinations(strategies, d_prime):
+            for partition in set_partitions(subset, d):
+                label = "grouped:" + "|".join(
+                    ",".join(name(s) for s in cls) for cls in partition
+                )
+                cases.append(((1, d_prime, subset, partition), label))
+    cases.sort(key=lambda case: case[0])
+    return [label for _, label in cases]
+
+
+def coefficient_blocks_loops(strategies, bob_dirs):
+    """Per-strategy (4 n^2 + 1, 4) coefficient blocks of the search's linear
+    system, filled one row (x, y, a, b) at a time."""
+    n = len(bob_dirs)
+    rows = 4 * n * n + 1
+    blocks = {}
+    for strat in strategies:
+        block = np.zeros((rows, 4))
+        r = 0
+        for x in range(n):
+            for y in range(n):
+                for a in (0, 1):
+                    for b in (0, 1):
+                        if strat[x] == a:
+                            block[r, 0] = 0.5
+                            block[r, 1:4] = 0.5 * (-1.0) ** b * bob_dirs[y]
+                        r += 1
+        block[rows - 1, 0] = 1.0
+        blocks[strat] = block
+    return blocks
 
 
 def random_physical_triple(rng):

@@ -17,6 +17,7 @@ from unsteer.cli import (
     parse_state_spec,
     render_text,
 )
+from unsteer.rac import MIN_STEP
 
 
 def run_cli(argv):
@@ -146,14 +147,24 @@ class TestExitCodes:
         assert out == ""
         assert "error: tol must be finite" in err
 
-    @pytest.mark.parametrize("step", ["0", "-1", "nan", "1.5"])
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "1.5", "5e-324", "1e-4"])
     def test_bb84_step_domain(self, step):
-        """bb84 --step lies in (0, 1]: 0 would divide by zero and a negative
-        step would print an empty grid."""
+        """bb84 --step lies in [MIN_STEP, 1]: 0 would divide by zero, a
+        negative step would print an empty grid, and 5e-324 overflows the
+        grid size."""
         code, out, err = run_cli(["bb84", "--step", step])
         assert code == 2
         assert out == ""
-        assert "error: step must lie in (0, 1]" in err
+        assert f"error: step must lie in [{MIN_STEP}, 1]" in err
+
+    @pytest.mark.parametrize("step", ["5e-324", "1e-4", "0.2"])
+    def test_sweep_step_domain(self, step):
+        """sweep --step lies in [MIN_STEP, 0.1]; 5e-324 overflowed the grid
+        size and 1e-4 would build 10^11 rows."""
+        code, out, err = run_cli(["sweep", "--n", "3", "--step", step])
+        assert code == 2
+        assert out == ""
+        assert f"error: step must lie in [{MIN_STEP}, 0.1]" in err
 
 
 class TestStateCommand:

@@ -266,10 +266,9 @@ class TestSweep:
         assert sweep_csv_lines(rep) == sweep_csv_loop(rep)
 
     def test_step_domain(self):
-        """Steps outside (0, 0.1] are rejected."""
-        with pytest.raises(OutOfRange):
-            sweep_separable_max(2, 0.2)
-        with pytest.raises(OutOfRange):
-            sweep_separable_max(2, 0.0)
+        """Steps outside [MIN_STEP, 0.1] are rejected before any grid is built."""
+        for step in (0.2, 0.0, 5e-324, 1e-4):
+            with pytest.raises(OutOfRange):
+                sweep_separable_max(2, step)
         with pytest.raises(UnsupportedN):
             sweep_separable_max(4, 0.05)

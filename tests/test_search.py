@@ -13,11 +13,13 @@ from unsteer import (
     DimensionMismatch,
     InfeasibilityTrace,
     LhvLhsModel,
+    MeasurementSet,
     OutOfRange,
     bell_diagonal,
     box_from_state,
     build_lhs_model_2set,
     certify_quantumness,
+    deterministic_strategies,
     pauli_axes,
     search_lhs_bounded,
     state_from_bloch,
@@ -25,8 +27,18 @@ from unsteer import (
     verify_lhv_lhs,
     white_noise_bb84,
 )
+from unsteer.decompose import _case_labels, _SearchContext
 
-from oracles import FROZEN, model_box_loops, random_physical_triple
+from oracles import (
+    FROZEN,
+    coefficient_blocks_loops,
+    model_box_loops,
+    random_physical_triple,
+    random_unit_vectors,
+    search_case_labels,
+)
+
+SQRT_HALF = float(np.sqrt(0.5))
 
 
 def bd_box(c1, c2, c3, n=2):
@@ -112,6 +124,62 @@ class TestDimensionTwoInfeasibility:
         result = search_lhs_bounded(box, pauli_axes(2), 2)
         assert isinstance(result, LhvLhsModel)
         assert result.dimension <= 2
+
+    def test_row_norm_needs_orthonormal_directions(self):
+        """Alice answers lambda on both settings and Bob holds +-x-hat, seen
+        along x-hat and (x-hat + z-hat)/sqrt(2): a row of C has norm
+        sqrt(3/2), yet the box has a two-class model."""
+        dirs = MeasurementSet(np.array([[1.0, 0.0, 0.0], [SQRT_HALF, 0.0, SQRT_HALF]]))
+        tables = np.array([[[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]])
+        states = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        box = LhvLhsModel(2, np.array([0.5, 0.5]), tables, states, dirs).reconstruct_box()
+        result = search_lhs_bounded(box, dirs, 2)
+        assert isinstance(result, LhvLhsModel)
+        ok, dev = verify_lhv_lhs(result, box, 1e-9)
+        assert ok, dev
+
+
+class TestSearchMechanics:
+    @pytest.mark.parametrize(
+        "n, d", [(n, d) for n in (2, 3) for d in range(1, 2**n + 1)]
+    )
+    def test_case_labels_match_sorted_enumeration(self, n, d):
+        """The cached label table is the enumerate-then-sort listing."""
+        assert list(_case_labels(n, d)) == search_case_labels(n, d)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_blocks_match_loop_oracle(self, n):
+        """The broadcast coefficient blocks equal the row-by-row loop bit for
+        bit, zero signs included."""
+        rng = np.random.default_rng(79 + n)
+        for _ in range(5):
+            dirs = MeasurementSet(random_unit_vectors(rng, n))
+            ctx = _SearchContext(bd_box(0.3, 0.2, -0.1, n=n), dirs, 1e-9)
+            want = coefficient_blocks_loops(deterministic_strategies(n), dirs.directions)
+            assert list(ctx.blocks) == list(want)
+            for strat, block in want.items():
+                assert ctx.blocks[strat].tobytes() == block.tobytes()
+
+    @pytest.mark.parametrize(
+        "forced, calls", [("unresolved", 35), ("negative_weight", 1)]
+    )
+    def test_top_assignment_solved_once(self, monkeypatch, forced, calls):
+        """At d = 2^n the all-distinct assignment is solved first and only
+        once; a sound rejection of it retires every other case unsolved."""
+        solved = []
+
+        def solve_phase1(ctx, assignment):
+            solved.append(assignment)
+            return None, forced
+
+        monkeypatch.setattr(_SearchContext, "solve_phase1", solve_phase1)
+        trace = search_lhs_bounded(bd_box(0.5, 0.4, -0.3), pauli_axes(2), 4)
+        top = deterministic_strategies(2)
+        assert solved[0] == top and solved.count(top) == 1
+        assert len(solved) == len(set(solved)) == calls
+        assert [label for label, _ in trace.cases] == search_case_labels(2, 4)
+        assert {reason for _, reason in trace.cases} == {forced}
+        assert trace.sound == trace.exhaustive == (forced != "unresolved")
 
 
 class TestTopDimension:
