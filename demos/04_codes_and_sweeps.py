@@ -50,7 +50,7 @@ print(f"    {np.array_str(spec.encodings[0], precision=4)}")
 print(f"    {np.array_str(spec.encodings[-1], precision=4)}")
 
 show("free optimization over encoding directions lands on the same value")
-opt = optimize_rac(params, 3, restarts=10)
+opt = optimize_rac(params, 3)
 print(f"  optimizer p_min: {opt.p_min:.12f} (gap {abs(opt.p_min - closed):.2e})")
 
 show("sweeping the separable region (step 0.02)")

@@ -26,6 +26,7 @@ from .states import (
 )
 
 ATOL_BOX = 1e-12
+ATOL_MUB = 1e-9
 
 _AXES = np.eye(3)
 
@@ -53,10 +54,10 @@ class MeasurementSet:
     def n(self) -> int:
         return self.directions.shape[0]
 
-    def is_mub(self, atol: float = 1e-9) -> bool:
+    def is_mub(self) -> bool:
         """Pairwise orthogonality of the directions (qubit MUB condition)."""
         g = self.directions @ self.directions.T
-        return bool(np.all(np.abs(g - np.eye(self.n)) <= atol))
+        return bool(np.all(np.abs(g - np.eye(self.n)) <= ATOL_MUB))
 
 
 def pauli_axes(n: int) -> MeasurementSet:
@@ -80,7 +81,7 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
 
-    def validate(self, atol: float = ATOL_BOX) -> "Box":
+    def validate(self) -> "Box":
         """Return self if all Box invariants hold.
 
         Raises:
@@ -90,19 +91,19 @@ class Box:
             raise InvalidBox(f"settings_per_side must be 2 or 3, got {self.n}")
         if self.p.shape != (self.n, self.n, 2, 2):
             raise InvalidBox(f"table shape {self.p.shape} != {(self.n, self.n, 2, 2)}")
-        if self.p.min() < -atol or self.p.max() > 1.0 + atol:
+        if self.p.min() < -ATOL_BOX or self.p.max() > 1.0 + ATOL_BOX:
             raise InvalidBox(
                 f"entry out of [0,1]: min {self.p.min():.3g}, max {self.p.max():.3g}"
             )
         totals = self.p.sum(axis=(2, 3))
-        if not np.allclose(totals, 1.0, atol=atol):
+        if not np.allclose(totals, 1.0, atol=ATOL_BOX):
             bad = np.unravel_index(np.argmax(np.abs(totals - 1.0)), totals.shape)
             raise InvalidBox(f"normalization violated at (x,y)={bad}: sum={totals[bad]!r}")
         alice = self.p.sum(axis=3)  # p(a|x) as seen with each y
-        if np.abs(alice - alice[:, :1, :]).max() > atol:
+        if np.abs(alice - alice[:, :1, :]).max() > ATOL_BOX:
             raise InvalidBox("no-signaling violated: Alice marginal depends on y")
         bob = self.p.sum(axis=2)  # p(b|y) as seen with each x
-        if np.abs(bob - bob[:1, :, :]).max() > atol:
+        if np.abs(bob - bob[:1, :, :]).max() > ATOL_BOX:
             raise InvalidBox("no-signaling violated: Bob marginal depends on x")
         return self
 
@@ -121,13 +122,13 @@ class Assemblage:
 
     sigma: np.ndarray
 
-    def validate(self, atol: float = ATOL_BOX) -> "Assemblage":
+    def validate(self) -> "Assemblage":
         sig = np.asarray(self.sigma)
         reduced = sig.sum(axis=0)  # (n, 2, 2)
-        if np.abs(reduced - reduced[:1]).max() > atol:
+        if np.abs(reduced - reduced[:1]).max() > ATOL_BOX:
             raise InvalidBox("assemblage signals: sum_a sigma(a|x) depends on x")
         traces = np.einsum("axii->x", sig).real
-        if not np.allclose(traces, 1.0, atol=atol):
+        if not np.allclose(traces, 1.0, atol=ATOL_BOX):
             raise InvalidBox(f"assemblage traces sum to {traces}, expected 1")
         for a in range(sig.shape[0]):
             for x in range(sig.shape[1]):

@@ -16,7 +16,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -348,7 +348,7 @@ def _run_box(spec: CommandSpec) -> Report:
         "functional": float(steering_functional(box, box.n)),
         "estimated_params": _params_triple(est),
     }
-    return Report("box", {"box": box_to_json_dict(box), "tol": spec.tol}, results)
+    return Report("box", {"box": box_to_json_dict(box)}, results)
 
 
 def _run_certify(spec: CommandSpec) -> Report:
@@ -523,6 +523,31 @@ def _render(spec: CommandSpec, report: Report) -> str:
     raise ParseError(f"unknown format {fmt!r}")
 
 
+# add_argument settings of every flag, keyed by its CommandSpec field.
+_FLAGS = {
+    "c": ("--c", {"help": "inline triple c1,c2,c3"}),
+    "state": ("--state", {"help": "state JSON file or inline JSON"}),
+    "box": ("--box", {"help": "box JSON file or inline JSON"}),
+    "n": ("--n", {"type": int, "choices": (2, 3)}),
+    "dim": ("--dim", {"type": int, "help": "hidden-state dimension bound"}),
+    "tol": ("--tol", {"type": float}),
+    "v": ("--v", {"type": float, "help": "single visibility instead of a grid"}),
+    "step": ("--step", {"type": float}),
+    "out": ("--out", {"help": "write the report here instead of stdout"}),
+    "fmt": ("--format", {"choices": ("json", "csv", "text"), "dest": "fmt"}),
+}
+
+# Each command accepts only the flags it reads, so an ignored flag exits 2.
+_COMMANDS = (
+    ("state", "full analysis of a Bell-diagonal state", ("c", "state", "n", "dim", "tol")),
+    ("box", "inspect a behavior table", ("box",)),
+    ("certify", "certify a state or box", ("c", "state", "box", "n", "dim", "tol")),
+    ("rac", "random access code efficiencies", ("c", "state", "n")),
+    ("sweep", "grid sweep over separable states", ("n", "step")),
+    ("bb84", "white-noise family: cost, strength, verdict", ("dim", "tol", "v", "step")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="unsteer",
@@ -534,57 +559,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"unsteer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_inputs: bool = True):
-        if with_inputs:
-            p.add_argument("--c", help="inline triple c1,c2,c3")
-            p.add_argument("--state", help="state JSON file or inline JSON")
-        p.add_argument("--n", type=int, default=2, choices=(2, 3))
-        p.add_argument("--dim", type=int, default=2, help="hidden-state dimension bound")
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv", "text"), dest="fmt")
-
-    p_state = sub.add_parser("state", help="full analysis of a Bell-diagonal state")
-    add_common(p_state)
-
-    p_box = sub.add_parser("box", help="inspect a behavior table")
-    p_box.add_argument("--box", help="box JSON file or inline JSON", required=False)
-    add_common(p_box, with_inputs=False)
-
-    p_cert = sub.add_parser("certify", help="certify a state or box")
-    add_common(p_cert)
-    p_cert.add_argument("--box", help="box JSON file or inline JSON")
-
-    p_rac = sub.add_parser("rac", help="random access code efficiencies")
-    add_common(p_rac)
-
-    p_sweep = sub.add_parser("sweep", help="grid sweep over separable states")
-    add_common(p_sweep, with_inputs=False)
-    p_sweep.add_argument("--step", type=float, default=0.01)
-
-    p_bb84 = sub.add_parser("bb84", help="white-noise family: cost, strength, verdict")
-    add_common(p_bb84, with_inputs=False)
-    p_bb84.add_argument("--v", type=float, help="single visibility instead of a grid")
-    p_bb84.add_argument("--step", type=float, default=0.01)
-
+    # Every command's namespace carries every CommandSpec field, with the
+    # defaults declared there.
+    defaults = {f.name: f.default for f in fields(CommandSpec) if f.name != "command"}
+    for command, help_text, flags in _COMMANDS:
+        p = sub.add_parser(command, help=help_text)
+        for flag in (*flags, "out", "fmt"):
+            name, settings = _FLAGS[flag]
+            p.add_argument(name, **settings)
+        p.set_defaults(**defaults)
     return parser
-
-
-def _spec_from_args(args: argparse.Namespace) -> CommandSpec:
-    return CommandSpec(
-        command=args.command,
-        c=getattr(args, "c", None),
-        state=getattr(args, "state", None),
-        box=getattr(args, "box", None),
-        n=getattr(args, "n", 2),
-        dim=getattr(args, "dim", 2),
-        tol=getattr(args, "tol", 1e-9),
-        step=getattr(args, "step", 0.01),
-        v=getattr(args, "v", None),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", None),
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -596,7 +580,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else 2
     started = time.perf_counter()
     try:
-        spec = _spec_from_args(args)
+        spec = CommandSpec(**vars(args))
         if spec.command == "sweep" and _resolve_format(spec) == "csv":
             # The CSV is written from the grid columns; the JSON rows are not built.
             sweep = sweep_separable_max(spec.n, spec.step)

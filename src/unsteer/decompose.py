@@ -23,7 +23,10 @@ Three facts the search leans on (all exercised by the test suite):
   sum_y C(y, y)^2 <= 1 (Cauchy-Schwarz over the hidden variable).
 * At the top dimension d = 2^n every model, stochastic Alice included,
   coarse-grains onto deterministic Alice classes (Bloch vectors mix
-  convexly), so the all-distinct assignment alone decides feasibility.
+  convexly), so the all-distinct assignment alone decides feasibility, and
+  it is the only case solved there.  When its least-squares point leaves
+  the cones, an SLSQP refinement searches the solution space; one it cannot
+  finish leaves the top dimension unresolved, never rejected.
 """
 
 from __future__ import annotations
@@ -59,15 +62,12 @@ SQRT2 = float(np.sqrt(2.0))
 WEIGHT_SLACK = 1e-10
 BLOCH_SLACK = 1e-10
 DEFAULT_TOL = 1e-9
+ATOL_CANONICAL = 1e-12
 
 WITNESSED_STEERABLE = "WITNESSED_STEERABLE"
 SUPERUNSTEERABLE = "SUPERUNSTEERABLE"
 CLASSICAL_AT_DIMENSION = "CLASSICAL_AT_DIMENSION"
 UNDECIDED = "UNDECIDED"
-
-_SOUND_CASE_REASONS = frozenset(
-    {"reconstruction_residual", "negative_weight", "bloch_norm_exceeds_weight"}
-)
 
 _BETA_01 = BellDiagonalParams(1.0, 1.0, -1.0)
 
@@ -212,13 +212,13 @@ def schrodinger_strength_bb84(v: float) -> tuple[float, ConvexSplit]:
 # ---------------------------------------------------------------------------
 
 
-def _require_canonical(params: BellDiagonalParams, atol: float = 1e-12) -> None:
+def _require_canonical(params: BellDiagonalParams) -> None:
     c1, c2, c3 = params.c1, params.c2, params.c3
-    if c1 < -atol or c2 < -atol:
+    if c1 < -ATOL_CANONICAL or c2 < -ATOL_CANONICAL:
         raise PreconditionViolated(
             f"canonical triple needs c1, c2 >= 0, got ({c1}, {c2}, {c3})"
         )
-    if not (c1 >= c2 - atol and c2 >= abs(c3) - atol):
+    if not (c1 >= c2 - ATOL_CANONICAL and c2 >= abs(c3) - ATOL_CANONICAL):
         raise PreconditionViolated(
             f"canonical triple needs c1 >= c2 >= |c3|, got ({c1}, {c2}, {c3})"
         )
@@ -626,56 +626,67 @@ class _SearchContext:
                 nr = float(np.linalg.norm(r))
                 states[i] = r / nr if nr > 1.0 else r
         tables = np.stack([strategy_table(strat) for strat in assignment])
-        model = LhvLhsModel(d, q / q.sum(), tables, states, self.dirs)
+        return self._verified(LhvLhsModel(d, q / q.sum(), tables, states, self.dirs))
+
+    def _verified(self, model: LhvLhsModel) -> LhvLhsModel | None:
         ok, _ = verify_lhv_lhs(model, self.box, self.tol)
         return model if ok else None
 
     def _refine(self, assignment, a_mat, z0) -> LhvLhsModel | None:
-        """Minimize the worst cone violation over the solution affine space.
-        Can only ever *find* models, never prove their absence."""
+        """Minimize the worst cone violation t over the solution affine space,
+        subject to t + q_l - |s_l| >= 0 for every class (which implies
+        q_l + t >= 0).  Can only ever *find* models, never prove their
+        absence."""
         d = len(assignment)
         _, sv, vt = np.linalg.svd(a_mat)
         rank = int(np.sum(sv > 1e-12 * max(float(sv[0]), 1.0)))
-        null = vt[rank:]
-        k = null.shape[0]
+        null = vt[rank:].T
+        k = null.shape[1]
         if k == 0:
             return None
+        null_q = null[:d]
+        null_s = null[d:].reshape(d, 3, k)
 
-        def unpack(x):
-            z = z0 + null.T @ x[:k]
-            return z[:d], z[d:].reshape(d, 3), x[k]
+        def split(x):
+            z = z0 + null @ x[:k]
+            s = z[d:].reshape(d, 3)
+            # Smoothing far below BLOCH_SLACK keeps the norm differentiable.
+            return z[:d], s, np.sqrt((s * s).sum(axis=1) + 1e-30)
 
-        constraints = []
-        for i in range(d):
-            def weight_margin(x, i=i):
-                q, _, t = unpack(x)
-                return q[i] + t
+        def margins(x):
+            q, _, norms = split(x)
+            return x[k] + q - norms
 
-            def norm_margin(x, i=i):
-                q, s, t = unpack(x)
-                return t + q[i] - np.sqrt(s[i] @ s[i] + 1e-18)
+        def margins_jac(x):
+            _, s, norms = split(x)
+            jac = np.ones((d, k + 1))
+            jac[:, :k] = null_q - np.einsum("li,lik->lk", s / norms[:, None], null_s)
+            return jac
 
-            constraints.append({"type": "ineq", "fun": weight_margin})
-            constraints.append({"type": "ineq", "fun": norm_margin})
-
-        q0 = z0[:d]
-        s0 = z0[d:].reshape(d, 3)
-        start_violation = max(
-            0.0,
-            float(np.max(-q0)),
-            float(np.max(np.linalg.norm(s0, axis=1) - q0)),
-        )
         x0 = np.zeros(k + 1)
-        x0[k] = start_violation + 1e-6
+        x0[k] = max(0.0, float(-margins(x0).min())) + 1e-6
+        objective_grad = np.zeros(k + 1)
+        objective_grad[k] = 1.0
+        # A box on the cone boundary has its optimum at t = 0 and is
+        # approached slowly: ftol, an absolute change in t, must lie far
+        # below BLOCH_SLACK, and a few hundred iterations may be needed.
         result = self.optimize.minimize(
             lambda x: x[k],
             x0,
-            constraints=constraints,
+            jac=lambda x: objective_grad,
+            constraints=[{"type": "ineq", "fun": margins, "jac": margins_jac}],
             method="SLSQP",
-            options={"maxiter": 200, "ftol": 1e-14},
+            options={"maxiter": 1000, "ftol": 1e-16},
         )
-        z = z0 + null.T @ result.x[:k]
-        return self._model_from_solution(assignment, z)
+        z = z0 + null @ result.x[:k]
+        model = self._model_from_solution(assignment, z)
+        keep = z[:d] > WEIGHT_SLACK
+        if model is not None or keep.all() or not keep.any():
+            return model
+        # Classes left at zero weight sit at a cone apex, where the norm is
+        # not differentiable and SLSQP stalls; solve once more without them.
+        # A model with fewer classes is still a model of dimension at most d.
+        return self.solve_phase1(tuple(itertools.compress(assignment, keep)))[0]
 
     # -- constructive feasibility lanes --------------------------------------
 
@@ -697,11 +708,10 @@ class _SearchContext:
         nr = float(np.linalg.norm(r))
         if nr <= 1.0 + BLOCH_SLACK:
             state = r / nr if nr > 1.0 else r
-            model = LhvLhsModel(
+            model = self._verified(LhvLhsModel(
                 1, np.array([1.0]), alice[None, :, :], state[None, :], self.dirs
-            )
-            ok, _ = verify_lhv_lhs(model, self.box, self.tol)
-            if ok:
+            ))
+            if model is not None:
                 return model, None
         residual = float(np.abs(self.dirs.directions @ r - bias).max())
         if residual > 4.0 * self.tol:
@@ -744,8 +754,7 @@ class _SearchContext:
             np.stack([r, -r]),
             self.dirs,
         )
-        ok, _ = verify_lhv_lhs(model, self.box, self.tol)
-        return model if ok else None
+        return self._verified(model)
 
 
 def search_lhs_bounded(
@@ -761,12 +770,13 @@ def search_lhs_bounded(
     into d classes sharing a Bob state each.
 
     A blanket reason retires every case at once: a model-universal
-    correlator obstruction, or else, at d = 2^n, a sound rejection of the
-    all-distinct assignment, which is solved first and only once.  Phase-1
-    assignments are solved one by one only while no blanket reason holds.
-    Every other case takes the blanket reason, the d = 1 product-lane proof,
-    or is reported unresolved.  The case labels depend only on (n, d) and
-    are built once per process.
+    correlator obstruction, or else, at d = 2^n, the answer of the
+    all-distinct assignment, the only case solved there: a sound rejection,
+    or "unresolved" when neither a model nor a proof came out.  Below 2^n,
+    phase-1 assignments are solved one by one unless a correlator
+    obstruction holds.  Every other case takes the blanket reason, the
+    d = 1 product-lane proof, or is reported unresolved.  The case labels
+    depend only on (n, d) and are built once per process.
 
     Returns:
         A verified LhvLhsModel, or an InfeasibilityTrace listing every case
@@ -799,27 +809,21 @@ def search_lhs_bounded(
         if model is not None:
             return model
 
-    # At the top dimension the all-distinct assignment is fully general: a
-    # sound rejection there retires every other case a fortiori.
-    top = ctx.strategies if d == d_top else None
-    if blanket is None and top is not None:
-        model, top_reason = ctx.solve_phase1(top)
+    # At the top dimension the all-distinct assignment is fully general: its
+    # answer, a model, a sound rejection or "unresolved", is every case's.
+    if blanket is None and d == d_top:
+        model, blanket = ctx.solve_phase1(ctx.strategies)
         if model is not None:
             return model
-        if top_reason in _SOUND_CASE_REASONS:
-            blanket = top_reason
 
     reasons: list[str] = []
     if blanket is None:
         for assignment in itertools.combinations_with_replacement(ctx.strategies, d):
-            if assignment == top:
-                reason = top_reason
-            else:
-                model, reason = ctx.solve_phase1(assignment)
-                if model is not None:
-                    return model
-                if reason == "unresolved" and product_reason is not None:
-                    reason = product_reason
+            model, reason = ctx.solve_phase1(assignment)
+            if model is not None:
+                return model
+            if reason == "unresolved" and product_reason is not None:
+                reason = product_reason
             reasons.append(reason)
 
     labels = _case_labels(box.n, d)

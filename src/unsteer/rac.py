@@ -40,14 +40,12 @@ class RacSpec:
 
     encodings: (2^n, 3) unit vectors, row index = integer value of the input
     string x (most significant bit first).  Decoding is b_i = a XOR b; the
-    signed encodings built here make that correct on every axis, and
-    axis_signs records sign(c_i') of the canonical triple for audit.
+    signed encodings built here make that correct on every axis.
     """
 
     n: int
     params: BellDiagonalParams
     encodings: np.ndarray
-    axis_signs: tuple[int, ...]
 
     def __post_init__(self):
         enc = np.atleast_2d(np.asarray(self.encodings, dtype=float))
@@ -149,14 +147,7 @@ def optimal_rac_spec(params: BellDiagonalParams, n: int) -> RacSpec:
     """
     params.validate()
     canon = canonical_form(params).canonical
-    c = canon.as_array()
-    signs = tuple(int(np.sign(c[i])) if c[i] != 0.0 else 1 for i in range(3))[:n]
-    return RacSpec(
-        n=n,
-        params=canon,
-        encodings=encoding_directions(canon, n),
-        axis_signs=signs,
-    )
+    return RacSpec(n=n, params=canon, encodings=encoding_directions(canon, n))
 
 
 def simulate_rac(spec: RacSpec) -> RacResult:
@@ -179,14 +170,11 @@ def simulate_rac(spec: RacSpec) -> RacResult:
     return RacResult(float(table.min()), table)
 
 
-def _success_table_for_direction(
-    c: np.ndarray, bits: tuple[int, ...], direction: np.ndarray
-) -> np.ndarray:
-    """Per-bit success of one input, from the correlator form of the Born rule:
-    Pr(a XOR b = x_i) = (1 + (-1)^{x_i} m_i c_i) / 2."""
-    n = len(bits)
-    signs = np.array([(-1.0) ** bits[i] for i in range(n)])
-    return (1.0 + signs * direction[:n] * c[:n]) / 2.0
+def _success_row(c: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    """Per-bit success of input 0, from the correlator form of the Born rule:
+    Pr(a XOR b = 0) = (1 + m_i c_i) / 2."""
+    n = len(c)
+    return (1.0 + direction[:n] * c) / 2.0
 
 
 def _unit_from_angles(theta: float, phi: float) -> np.ndarray:
@@ -194,13 +182,18 @@ def _unit_from_angles(theta: float, phi: float) -> np.ndarray:
     return np.array([s * np.cos(phi), s * np.sin(phi), np.cos(theta)])
 
 
-def optimize_rac(params: BellDiagonalParams, n: int, restarts: int = 20) -> RacResult:
+def _angles(m: np.ndarray) -> tuple[float, float]:
+    return float(np.arccos(np.clip(m[2], -1.0, 1.0))), float(np.arctan2(m[1], m[0]))
+
+
+def optimize_rac(params: BellDiagonalParams, n: int) -> RacResult:
     """Maximize P_min over all encoding directions by multi-start local search.
 
-    The per-input success rows depend only on that input's direction, so each
-    input is optimized independently (Nelder-Mead over sphere angles, seeded
-    deterministically).  The heuristic encoding, when defined, is always one
-    of the starts, so the result is never worse than it beyond 1e-9.
+    Input x's success row under the direction m_i -> (-1)^{x_i} m_i equals
+    input 0's under m, so one search for input 0 (Nelder-Mead over sphere
+    angles, from 20 deterministically seeded starts) gives every row of the
+    table.  The heuristic encoding, when defined, is one more start, so the
+    result is never worse than it beyond 1e-9.
 
     Raises:
         UnphysicalParams, UnsupportedN: on malformed input.
@@ -211,43 +204,29 @@ def optimize_rac(params: BellDiagonalParams, n: int, restarts: int = 20) -> RacR
     params.validate()
     if n not in (2, 3):
         raise UnsupportedN(f"n must be 2 or 3, got {n}")
-    c = canonical_form(params).canonical.as_array()
+    c = canonical_form(params).canonical.as_array()[:n]
     rng = np.random.default_rng(0)
+    starts = []
     try:
-        heuristic = encoding_directions(params, n)
+        starts.append(_angles(encoding_directions(params, n)[0]))
     except DegenerateAxis:
-        heuristic = None
-    table = np.zeros((2**n, n))
-    for x in range(2**n):
-        bits = _input_bits(x, n)
-
-        def negated_worst(angles, bits=bits):
-            direction = _unit_from_angles(angles[0], angles[1])
-            return -float(_success_table_for_direction(c, bits, direction).min())
-
-        starts = []
-        if heuristic is not None:
-            m = heuristic[x]
-            starts.append((float(np.arccos(np.clip(m[2], -1.0, 1.0))),
-                           float(np.arctan2(m[1], m[0]))))
-        for _ in range(max(0, restarts)):
-            z = rng.normal(size=3)
-            z /= np.linalg.norm(z)
-            starts.append((float(np.arccos(np.clip(z[2], -1.0, 1.0))),
-                           float(np.arctan2(z[1], z[0]))))
-        best_value = -np.inf
-        best_direction = np.array([0.0, 0.0, 1.0])
-        for start in starts:
-            res = optimize.minimize(
-                negated_worst,
-                np.asarray(start),
-                method="Nelder-Mead",
-                options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 600},
-            )
-            if -res.fun > best_value:
-                best_value = -res.fun
-                best_direction = _unit_from_angles(res.x[0], res.x[1])
-        table[x] = _success_table_for_direction(c, bits, best_direction)
+        pass
+    for _ in range(20):
+        z = rng.normal(size=3)
+        starts.append(_angles(z / np.linalg.norm(z)))
+    best_value = -np.inf
+    best_direction = np.array([0.0, 0.0, 1.0])
+    for start in starts:
+        res = optimize.minimize(
+            lambda angles: -float(_success_row(c, _unit_from_angles(*angles)).min()),
+            np.asarray(start),
+            method="Nelder-Mead",
+            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 600},
+        )
+        if -res.fun > best_value:
+            best_value = -res.fun
+            best_direction = _unit_from_angles(*res.x)
+    table = np.tile(_success_row(c, best_direction), (2**n, 1))
     return RacResult(float(table.min()), table)
 
 

@@ -49,8 +49,8 @@ class BellDiagonalParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.c1, self.c2, self.c3], dtype=float)
 
-    def validate(self, atol: float = ATOL_EIG) -> "BellDiagonalParams":
-        """Return self if all four eigenvalues are >= -atol, else raise.
+    def validate(self) -> "BellDiagonalParams":
+        """Return self if all four eigenvalues are >= -ATOL_EIG, else raise.
 
         Raises:
             UnphysicalParams: naming the offending eigenvalue, or the triple
@@ -64,7 +64,7 @@ class BellDiagonalParams:
         lam = bd_eigenvalues(self)
         labels = ("lambda_00", "lambda_01", "lambda_10", "lambda_11")
         k = int(np.argmin(lam))
-        if lam[k] < -atol:
+        if lam[k] < -ATOL_EIG:
             raise UnphysicalParams(
                 f"triple ({self.c1}, {self.c2}, {self.c3}) is unphysical: "
                 f"{labels[k]} = {lam[k]:.6g} < 0"
@@ -241,10 +241,10 @@ def partial_transpose(rho: ComplexMatrix, subsystem: int = 1) -> ComplexMatrix:
     return r.reshape(4, 4)
 
 
-def is_ppt(rho: ComplexMatrix, atol: float = ATOL_EIG) -> bool:
+def is_ppt(rho: ComplexMatrix) -> bool:
     """Whether the partial transpose of rho is positive semidefinite.
 
     For two qubits this decides separability.
     """
     eigs = np.linalg.eigvalsh(partial_transpose(rho))
-    return float(eigs.min()) >= -atol
+    return float(eigs.min()) >= -ATOL_EIG

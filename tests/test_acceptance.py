@@ -277,8 +277,8 @@ def test_criterion_5_rac_numbers():
     c.check(f"simulation matches closed form on 1000 triples: max dev "
             f"{sim_dev:.3g} <= 1e-12", sim_dev <= 1e-12)
 
-    opt2 = optimize_rac(BellDiagonalParams(0.5, 0.5, 0.0), 2, restarts=20)
-    opt3 = optimize_rac(BellDiagonalParams(1 / 3, 1 / 3, -1 / 3), 3, restarts=20)
+    opt2 = optimize_rac(BellDiagonalParams(0.5, 0.5, 0.0), 2)
+    opt3 = optimize_rac(BellDiagonalParams(1 / 3, 1 / 3, -1 / 3), 3)
     c.check(f"optimizer reaches eff2 within 1e-6 (gap {abs(opt2.p_min - eff2):.3g})",
             abs(opt2.p_min - eff2) <= 1e-6)
     c.check(f"optimizer reaches eff3 within 1e-6 (gap {abs(opt3.p_min - eff3):.3g})",

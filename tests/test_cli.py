@@ -157,6 +157,26 @@ class TestExitCodes:
         assert out == ""
         assert f"error: step must lie in [{MIN_STEP}, 1]" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["box", "--box", "box.json", "--n", "3"],
+            ["box", "--box", "box.json", "--dim", "3"],
+            ["box", "--box", "box.json", "--tol", "1e-6"],
+            ["rac", "--c", "0.5,0.5,0", "--dim", "3"],
+            ["rac", "--c", "0.5,0.5,0", "--tol", "1e-6"],
+            ["sweep", "--dim", "3"],
+            ["sweep", "--tol", "1e-6"],
+            ["bb84", "--n", "3"],
+        ],
+    )
+    def test_unread_flag_rejected(self, argv):
+        """A flag the command would ignore is a usage error, not a report."""
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("step", ["5e-324", "1e-4", "0.2"])
     def test_sweep_step_domain(self, step):
         """sweep --step lies in [MIN_STEP, 0.1]; 5e-324 overflowed the grid

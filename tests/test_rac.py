@@ -142,7 +142,7 @@ class TestSimulation:
             n = 2 + k % 2
             c = random_physical_triple(rng)
             enc = random_unit_vectors(rng, 2**n)
-            spec = RacSpec(n, BellDiagonalParams(*c), enc, (1,) * n)
+            spec = RacSpec(n, BellDiagonalParams(*c), enc)
             res = simulate_rac(spec)
             want = rac_table_loops(bell_diagonal_direct(*c), enc, n)
             assert np.abs(res.table - want).max() <= 1e-13
@@ -153,7 +153,7 @@ class TestSimulation:
         enc = encoding_directions(BellDiagonalParams(0.6, 0.4, -0.2), 2)
         enc[0] *= 1.0 + 1e-10
         with pytest.raises(NonUnitDirection):
-            RacSpec(2, BellDiagonalParams(0.6, 0.4, -0.2), enc, (1, 1))
+            RacSpec(2, BellDiagonalParams(0.6, 0.4, -0.2), enc)
 
     def test_success_table_is_flat(self):
         """The optimal protocol equalizes success across inputs and bits."""
@@ -189,21 +189,26 @@ class TestSimulation:
 
 class TestOptimization:
     def test_reaches_closed_form_n2(self):
-        """Free-direction optimization recovers the closed form for n = 2."""
+        """Free-direction optimization recovers the closed form for n = 2;
+        sign flips map input 0's problem onto every other input's, so the
+        table repeats one row."""
         params = BellDiagonalParams(0.5, 0.5, 0.0)
-        res = optimize_rac(params, 2, restarts=8)
-        assert res.p_min == pytest.approx(rac_efficiency_bd(params, 2), abs=1e-6)
+        res = optimize_rac(params, 2)
+        assert res.table.shape == (4, 2) and (res.table == res.table[0]).all()
+        assert abs(res.p_min - rac_efficiency_bd(params, 2)) <= 1e-9
 
     def test_reaches_closed_form_n3(self):
-        """Free-direction optimization recovers the closed form for n = 3."""
+        """Free-direction optimization recovers the closed form for n = 3,
+        with one row repeated for every input."""
         params = BellDiagonalParams(1 / 3, 1 / 3, -1 / 3)
-        res = optimize_rac(params, 3, restarts=8)
-        assert res.p_min == pytest.approx(rac_efficiency_bd(params, 3), abs=1e-6)
+        res = optimize_rac(params, 3)
+        assert res.table.shape == (8, 3) and (res.table == res.table[0]).all()
+        assert abs(res.p_min - rac_efficiency_bd(params, 3)) <= 1e-9
 
     def test_never_beats_closed_form(self):
         """The closed form is an upper bound over encoding directions."""
         params = BellDiagonalParams(0.7, 0.2, -0.1)
-        res = optimize_rac(params, 2, restarts=8)
+        res = optimize_rac(params, 2)
         assert res.p_min <= rac_efficiency_bd(params, 2) + 1e-9
 
 
