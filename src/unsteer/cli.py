@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,6 +33,7 @@ from .boxes import (
     white_noise_bb84,
 )
 from .decompose import (
+    _check_tol,
     canonical_split_2set,
     canonical_split_3set,
     certify_quantumness,
@@ -42,7 +44,6 @@ from .decompose import (
 from .errors import DegenerateAxis, OutOfRange, ParseError, UnsteerError
 from .rac import (
     MIN_STEP,
-    SweepReport,
     optimal_rac_spec,
     rac_classical_bound,
     rac_efficiency_bd,
@@ -77,12 +78,11 @@ class CommandSpec:
     step: float = 0.01
     v: float | None = None
     out: str | None = None
-    fmt: str | None = None  # None resolves to the command default
+    fmt: str | None = None  # the parser sets the command's default format
 
     def __post_init__(self):
         # Reports echo tol, so a NaN would also make the JSON invalid.
-        if not 0.0 <= self.tol < math.inf:
-            raise OutOfRange(f"tol must be finite and >= 0, got {self.tol}")
+        _check_tol(self.tol)
 
 
 @dataclass(frozen=True)
@@ -186,21 +186,22 @@ def render_text(report: Report) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _params_from_json_text(text: str, origin: str) -> BellDiagonalParams:
+def _read_json(source: str, what: str):
+    """Inline JSON (text starting with "{") or the path of a JSON file."""
+    text = source.strip()
+    if text.startswith("{"):
+        origin, body = f"inline {what} JSON", text
+    else:
+        origin = f"{what} file {text!r}"
+        try:
+            with open(text, encoding="utf-8") as fh:
+                body = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {origin}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(body)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{origin}: invalid JSON ({exc})") from exc
-    if not isinstance(data, dict) or "c" not in data:
-        raise ParseError(f'{origin}: expected an object with a "c" key')
-    c = data["c"]
-    if not isinstance(c, (list, tuple)) or len(c) != 3:
-        raise ParseError(f'{origin}: "c" must be a list of three numbers')
-    try:
-        values = [float(v) for v in c]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f'{origin}: "c" must be a list of three numbers') from exc
-    return BellDiagonalParams(*values)
 
 
 def parse_state_spec(source: str) -> BellDiagonalParams:
@@ -215,47 +216,32 @@ def parse_state_spec(source: str) -> BellDiagonalParams:
         UnphysicalParams: valid syntax, invalid state.
     """
     text = source.strip()
-    if text.startswith("{"):
-        params = _params_from_json_text(text, "inline JSON")
+    tokens = text.split(",")
+    if len(tokens) == 3 and not text.startswith("{"):
+        try:
+            params = BellDiagonalParams(*(float(t) for t in tokens))
+        except ValueError as exc:
+            raise ParseError(
+                f"inline triple {source!r} has a non-numeric component"
+            ) from exc
     else:
-        tokens = text.split(",")
-        if len(tokens) == 3:
-            try:
-                params = BellDiagonalParams(*(float(t) for t in tokens))
-            except ValueError as exc:
-                raise ParseError(
-                    f"inline triple {source!r} has a non-numeric component"
-                ) from exc
-        else:
-            try:
-                with open(text, encoding="utf-8") as fh:
-                    body = fh.read()
-            except OSError as exc:
-                raise ParseError(f"cannot read state file {text!r}: {exc}") from exc
-            params = _params_from_json_text(body, text)
+        data = _read_json(text, "state")
+        c = data.get("c") if isinstance(data, dict) else None
+        try:
+            values = [float(v) for v in c] if isinstance(c, (list, tuple)) else []
+        except (TypeError, ValueError):
+            values = []
+        if len(values) != 3:
+            raise ParseError(
+                'state JSON must be an object whose "c" is a list of three numbers'
+            )
+        params = BellDiagonalParams(*values)
     params.validate()
     return params
 
 
-def _load_box(source: str) -> Box:
-    text = source.strip()
-    if text.startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"inline box JSON: {exc}") from exc
-    else:
-        try:
-            with open(text, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read box file {text!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"box file {text!r}: invalid JSON ({exc})") from exc
-    return box_from_json_dict(data)
-
-
-def _single_source(spec: CommandSpec, allowed: tuple[str, ...]) -> str:
+def _load_input(spec: CommandSpec, allowed: tuple[str, ...]) -> BellDiagonalParams | Box:
+    """The one input source the spec names: a Box for --box, else params."""
     present = [name for name in ("c", "state", "box") if getattr(spec, name)]
     if len(present) != 1:
         raise ParseError(
@@ -264,7 +250,9 @@ def _single_source(spec: CommandSpec, allowed: tuple[str, ...]) -> str:
         )
     if present[0] not in allowed:
         raise ParseError(f"{spec.command} does not accept --{present[0]}")
-    return present[0]
+    if present[0] == "box":
+        return box_from_json_dict(_read_json(spec.box, "box"))
+    return parse_state_spec(getattr(spec, present[0]))
 
 
 def _params_triple(params: BellDiagonalParams) -> list[float]:
@@ -276,11 +264,10 @@ def _params_triple(params: BellDiagonalParams) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _certificate_dict(params_canonical: BellDiagonalParams, spec: CommandSpec) -> dict:
-    axes = pauli_axes(spec.n)
-    box = box_from_state(bell_diagonal(params_canonical), axes, axes)
-    cert = certify_quantumness(box, spec.n, d_A=spec.dim, tol=spec.tol)
-    return cert.to_json_dict()
+def _pauli_box(params: BellDiagonalParams, n: int) -> Box:
+    """The box of the canonical state, Pauli settings on both sides."""
+    axes = pauli_axes(n)
+    return box_from_state(bell_diagonal(canonical_form(params).canonical), axes, axes)
 
 
 def _split_dict(split) -> dict:
@@ -292,8 +279,7 @@ def _split_dict(split) -> dict:
 
 
 def _run_state(spec: CommandSpec) -> Report:
-    source = _single_source(spec, ("c", "state"))
-    params = parse_state_spec(spec.c if source == "c" else spec.state)
+    params = _load_input(spec, ("c", "state"))
     record = canonical_form(params)
     canon = record.canonical
     results: dict = {
@@ -322,7 +308,9 @@ def _run_state(spec: CommandSpec) -> Report:
             "efficiency_n2": float(rac_efficiency_bd(params, 2)),
             "efficiency_n3": float(rac_efficiency_bd(params, 3)),
         },
-        "certificate": _certificate_dict(canon, spec),
+        "certificate": certify_quantumness(
+            _pauli_box(params, spec.n), spec.n, d_A=spec.dim, tol=spec.tol
+        ).to_json_dict(),
     }
     if results["splits"]["n3"] is None:
         results["splits"]["n3_skipped_reason"] = (
@@ -338,8 +326,7 @@ def _run_state(spec: CommandSpec) -> Report:
 
 
 def _run_box(spec: CommandSpec) -> Report:
-    _single_source(spec, ("box",))
-    box = _load_box(spec.box)
+    box = _load_input(spec, ("box",))
     est = estimate_params_from_box(box)
     results = {
         "n": box.n,
@@ -352,24 +339,20 @@ def _run_box(spec: CommandSpec) -> Report:
 
 
 def _run_certify(spec: CommandSpec) -> Report:
-    source = _single_source(spec, ("c", "state", "box"))
-    if source == "box":
-        box = _load_box(spec.box)
+    source = _load_input(spec, ("c", "state", "box"))
+    if isinstance(source, Box):
+        box = source
         inputs: dict = {"box": box_to_json_dict(box)}
     else:
-        params = parse_state_spec(spec.c if source == "c" else spec.state)
-        canon = canonical_form(params).canonical
-        axes = pauli_axes(spec.n)
-        box = box_from_state(bell_diagonal(canon), axes, axes)
-        inputs = {"params": _params_triple(params)}
+        box = _pauli_box(source, spec.n)
+        inputs = {"params": _params_triple(source)}
     inputs.update({"n": spec.n, "dim": spec.dim, "tol": spec.tol})
     cert = certify_quantumness(box, spec.n, d_A=spec.dim, tol=spec.tol)
     return Report("certify", inputs, cert.to_json_dict())
 
 
 def _run_rac(spec: CommandSpec) -> Report:
-    source = _single_source(spec, ("c", "state"))
-    params = parse_state_spec(spec.c if source == "c" else spec.state)
+    params = _load_input(spec, ("c", "state"))
     efficiency = float(rac_efficiency_bd(params, spec.n))
     results: dict = {
         "n": spec.n,
@@ -396,7 +379,8 @@ def _run_rac(spec: CommandSpec) -> Report:
     return Report("rac", inputs, results)
 
 
-def _sweep_results(report: SweepReport) -> dict:
+def _run_sweep(spec: CommandSpec) -> Report:
+    sweep = sweep_separable_max(spec.n, spec.step)
     rows = [
         [
             float(t[0]),
@@ -408,32 +392,32 @@ def _sweep_results(report: SweepReport) -> dict:
             float(d),
         ]
         for t, s, e, d in zip(
-            report.triples, report.strength, report.efficiency, report.discord
+            sweep.triples, sweep.strength, sweep.efficiency, sweep.discord
         )
     ]
-    return {
-        "n": report.n,
-        "step": report.step,
+    results = {
+        "n": sweep.n,
+        "step": sweep.step,
         "count": len(rows),
         "strength_max": {
-            "params": _params_triple(report.strength_argmax),
-            "value": report.strength_max,
+            "params": _params_triple(sweep.strength_argmax),
+            "value": sweep.strength_max,
         },
         "efficiency_max": {
-            "params": _params_triple(report.efficiency_argmax),
-            "value": report.efficiency_max,
+            "params": _params_triple(sweep.efficiency_argmax),
+            "value": sweep.efficiency_max,
         },
         "witness_pair": (
-            list(report.witness_pair) if report.witness_pair is not None else None
+            list(sweep.witness_pair) if sweep.witness_pair is not None else None
         ),
         "rows": rows,
     }
+    return Report("sweep", {"n": spec.n, "step": spec.step}, results)
 
 
-def _run_sweep(spec: CommandSpec) -> Report:
-    sweep = sweep_separable_max(spec.n, spec.step)
-    inputs = {"n": spec.n, "step": spec.step}
-    return Report("sweep", inputs, _sweep_results(sweep))
+def _sweep_csv(spec: CommandSpec) -> list[str]:
+    # Written from the grid columns; the JSON rows are never built.
+    return sweep_csv_lines(sweep_separable_max(spec.n, spec.step))
 
 
 def _bb84_row(v: float, spec: CommandSpec) -> dict:
@@ -451,22 +435,60 @@ def _bb84_row(v: float, spec: CommandSpec) -> dict:
 
 def _run_bb84(spec: CommandSpec) -> Report:
     if spec.v is not None:
-        rows = [_bb84_row(spec.v, spec)]
-        inputs: dict = {"v": spec.v, "dim": spec.dim, "tol": spec.tol}
+        grid, inputs = [spec.v], {"v": spec.v}
     else:
         if not MIN_STEP <= spec.step <= 1.0:
             raise OutOfRange(f"step must lie in [{MIN_STEP}, 1], got {spec.step}")
         # The grid always ends at V = 1, also when the step does not divide 1.
         count = math.ceil(1.0 / spec.step - 1e-9)
         grid = [i * spec.step for i in range(count)] + [1.0]
-        rows = [_bb84_row(v, spec) for v in grid]
-        inputs = {"step": spec.step, "dim": spec.dim, "tol": spec.tol}
-    return Report("bb84", inputs, {"rows": rows})
+        inputs = {"step": spec.step}
+    rows = [_bb84_row(v, spec) for v in grid]
+    return Report("bb84", {**inputs, "dim": spec.dim, "tol": spec.tol}, {"rows": rows})
+
+
+def _bb84_csv(spec: CommandSpec) -> list[str]:
+    lines = [BB84_CSV_HEADER]
+    for row in _run_bb84(spec).results["rows"]:
+        values = [format_float(row[key]) for key in ("v", "functional", "cost", "strength")]
+        lines.append(",".join([*values, row["verdict"]]))
+    return lines
 
 
 # ---------------------------------------------------------------------------
-# Dispatch, rendering, entry points
+# Command table, dispatch, entry points
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Command:
+    """One subcommand, declared once: the parser, run and main read only this."""
+
+    help: str
+    flags: tuple[str, ...]  # the CommandSpec fields it reads; others exit 2
+    handler: Callable[[CommandSpec], Report]
+    formats: tuple[str, ...] = ("json", "text")  # the default first
+    csv: Callable[[CommandSpec], list[str]] | None = None
+
+
+_COMMANDS = {
+    "state": _Command(
+        "full analysis of a Bell-diagonal state", ("c", "state", "n", "dim", "tol"), _run_state
+    ),
+    "box": _Command("inspect a behavior table", ("box",), _run_box),
+    "certify": _Command(
+        "certify a state or box", ("c", "state", "box", "n", "dim", "tol"), _run_certify
+    ),
+    "rac": _Command("random access code efficiencies", ("c", "state", "n"), _run_rac),
+    "sweep": _Command(
+        "grid sweep over separable states", ("n", "step"), _run_sweep,
+        ("csv", "json", "text"), _sweep_csv,
+    ),
+    "bb84": _Command(
+        "white-noise family: cost, strength, verdict", ("dim", "tol", "v", "step"), _run_bb84,
+        ("json", "text", "csv"), _bb84_csv,
+    ),
+}
 
 
 def run(spec: CommandSpec) -> Report:
@@ -476,51 +498,10 @@ def run(spec: CommandSpec) -> Report:
         ParseError and the library's validation errors on bad input; anything
         else indicates an internal fault.
     """
-    if spec.command == "state":
-        return _run_state(spec)
-    if spec.command == "box":
-        return _run_box(spec)
-    if spec.command == "certify":
-        return _run_certify(spec)
-    if spec.command == "rac":
-        return _run_rac(spec)
-    if spec.command == "sweep":
-        return _run_sweep(spec)
-    if spec.command == "bb84":
-        return _run_bb84(spec)
-    raise ParseError(f"unknown command {spec.command!r}")
-
-
-def _resolve_format(spec: CommandSpec) -> str:
-    if spec.fmt is not None:
-        return spec.fmt
-    return "csv" if spec.command == "sweep" else "json"
-
-
-def _render(spec: CommandSpec, report: Report) -> str:
-    fmt = _resolve_format(spec)
-    if fmt == "json":
-        return dumps_deterministic(report.to_json_dict()) + "\n"
-    if fmt == "text":
-        return render_text(report)
-    if fmt == "csv":
-        if spec.command == "bb84":
-            lines = [BB84_CSV_HEADER]
-            for row in report.results["rows"]:
-                lines.append(
-                    ",".join(
-                        [
-                            format_float(row["v"]),
-                            format_float(row["functional"]),
-                            format_float(row["cost"]),
-                            format_float(row["strength"]),
-                            row["verdict"],
-                        ]
-                    )
-                )
-            return "\n".join(lines) + "\n"
-        raise ParseError("csv format is only available for sweep and bb84")
-    raise ParseError(f"unknown format {fmt!r}")
+    command = _COMMANDS.get(spec.command)
+    if command is None:
+        raise ParseError(f"unknown command {spec.command!r}")
+    return command.handler(spec)
 
 
 # add_argument settings of every flag, keyed by its CommandSpec field.
@@ -534,18 +515,7 @@ _FLAGS = {
     "v": ("--v", {"type": float, "help": "single visibility instead of a grid"}),
     "step": ("--step", {"type": float}),
     "out": ("--out", {"help": "write the report here instead of stdout"}),
-    "fmt": ("--format", {"choices": ("json", "csv", "text"), "dest": "fmt"}),
 }
-
-# Each command accepts only the flags it reads, so an ignored flag exits 2.
-_COMMANDS = (
-    ("state", "full analysis of a Bell-diagonal state", ("c", "state", "n", "dim", "tol")),
-    ("box", "inspect a behavior table", ("box",)),
-    ("certify", "certify a state or box", ("c", "state", "box", "n", "dim", "tol")),
-    ("rac", "random access code efficiencies", ("c", "state", "n")),
-    ("sweep", "grid sweep over separable states", ("n", "step")),
-    ("bb84", "white-noise family: cost, strength, verdict", ("dim", "tol", "v", "step")),
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -560,14 +530,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"unsteer {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     # Every command's namespace carries every CommandSpec field, with the
-    # defaults declared there.
-    defaults = {f.name: f.default for f in fields(CommandSpec) if f.name != "command"}
-    for command, help_text, flags in _COMMANDS:
-        p = sub.add_parser(command, help=help_text)
-        for flag in (*flags, "out", "fmt"):
-            name, settings = _FLAGS[flag]
-            p.add_argument(name, **settings)
-        p.set_defaults(**defaults)
+    # defaults declared there; the format defaults to the command's first.
+    defaults = {
+        f.name: f.default for f in fields(CommandSpec) if f.name not in ("command", "fmt")
+    }
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in (*command.flags, "out"):
+            option, settings = _FLAGS[flag]
+            p.add_argument(option, **settings)
+        p.add_argument("--format", dest="fmt", choices=command.formats)
+        p.set_defaults(**defaults, fmt=command.formats[0])
     return parser
 
 
@@ -581,12 +554,12 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         spec = CommandSpec(**vars(args))
-        if spec.command == "sweep" and _resolve_format(spec) == "csv":
-            # The CSV is written from the grid columns; the JSON rows are not built.
-            sweep = sweep_separable_max(spec.n, spec.step)
-            payload = "\n".join(sweep_csv_lines(sweep)) + "\n"
+        if spec.fmt == "csv":
+            payload = "\n".join(_COMMANDS[spec.command].csv(spec)) + "\n"
+        elif spec.fmt == "text":
+            payload = render_text(run(spec))
         else:
-            payload = _render(spec, run(spec))
+            payload = dumps_deterministic(run(spec).to_json_dict()) + "\n"
     except UnsteerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boxes import (
+    ATOL_BOX,
     Box,
     MeasurementSet,
     box_from_state,
@@ -68,6 +69,14 @@ WITNESSED_STEERABLE = "WITNESSED_STEERABLE"
 SUPERUNSTEERABLE = "SUPERUNSTEERABLE"
 CLASSICAL_AT_DIMENSION = "CLASSICAL_AT_DIMENSION"
 UNDECIDED = "UNDECIDED"
+
+
+def _check_tol(tol: float) -> None:
+    """A search tolerance is finite and no finer than the bound every box is
+    validated to; below it a residual proof compares rounding against zero."""
+    if not ATOL_BOX <= tol < np.inf:
+        raise OutOfRange(f"tol must be finite and >= {ATOL_BOX:g}, got {tol}")
+
 
 _BETA_01 = BellDiagonalParams(1.0, 1.0, -1.0)
 
@@ -770,13 +779,13 @@ def search_lhs_bounded(
     into d classes sharing a Bob state each.
 
     A blanket reason retires every case at once: a model-universal
-    correlator obstruction, or else, at d = 2^n, the answer of the
-    all-distinct assignment, the only case solved there: a sound rejection,
-    or "unresolved" when neither a model nor a proof came out.  Below 2^n,
-    phase-1 assignments are solved one by one unless a correlator
-    obstruction holds.  Every other case takes the blanket reason, the
-    d = 1 product-lane proof, or is reported unresolved.  The case labels
-    depend only on (n, d) and are built once per process.
+    correlator obstruction; at d = 1 the product-lane proof; or else, at
+    d = 2^n, the answer of the all-distinct assignment, the only case solved
+    there: a sound rejection, or "unresolved" when neither a model nor a
+    proof came out.  Below 2^n, phase-1 assignments are solved one by one
+    unless a blanket reason holds.  Every other case takes the blanket
+    reason or is reported unresolved.  The case labels depend only on
+    (n, d) and are built once per process.
 
     Returns:
         A verified LhvLhsModel, or an InfeasibilityTrace listing every case
@@ -785,8 +794,10 @@ def search_lhs_bounded(
         correlator obstruction makes a trace exhaustive.
 
     Raises:
-        InvalidBox, DimensionMismatch, OutOfRange: on malformed input.
+        InvalidBox, DimensionMismatch, OutOfRange: on malformed input, a
+            tol below ATOL_BOX included.
     """
+    _check_tol(tol)
     box.validate()
     if bob_dirs.n != box.n:
         raise DimensionMismatch(
@@ -800,10 +811,10 @@ def search_lhs_bounded(
     blanket = ctx.universal_reason(d)
 
     # Constructive fast lanes (every returned model has been re-verified).
-    product_reason: str | None = None
+    # At d = 1 a sound product-lane reason covers every one-class model.
     if blanket is None:
         if d == 1:
-            model, product_reason = ctx.product_lane()
+            model, blanket = ctx.product_lane()
         else:
             model = ctx.construct_two_class()
         if model is not None:
@@ -822,14 +833,12 @@ def search_lhs_bounded(
             model, reason = ctx.solve_phase1(assignment)
             if model is not None:
                 return model
-            if reason == "unresolved" and product_reason is not None:
-                reason = product_reason
             reasons.append(reason)
 
     labels = _case_labels(box.n, d)
-    reasons += [blanket or product_reason or "unresolved"] * (len(labels) - len(reasons))
+    reasons += [blanket or "unresolved"] * (len(labels) - len(reasons))
     sound = "unresolved" not in reasons
-    exhaustive = sound and (blanket is not None or product_reason is not None)
+    exhaustive = sound and blanket is not None
     return InfeasibilityTrace(d, tuple(zip(labels, reasons)), sound, exhaustive)
 
 

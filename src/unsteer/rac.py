@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import _born_products, _projectors, pauli_axes
+from .boxes import _born_products, _projectors, deterministic_strategies, pauli_axes
 from .errors import (
     DegenerateAxis,
     DimensionMismatch,
@@ -105,10 +105,6 @@ def rac_efficiency_bd(params: BellDiagonalParams, n: int) -> float:
     return 0.5 * (1.0 + 1.0 / float(np.sqrt(total)))
 
 
-def _input_bits(x: int, n: int) -> tuple[int, ...]:
-    return tuple((x >> (n - 1 - i)) & 1 for i in range(n))
-
-
 def encoding_directions(params: BellDiagonalParams, n: int) -> np.ndarray:
     """The (2^n, 3) optimal encoding directions m(x) of the canonical triple.
 
@@ -131,11 +127,9 @@ def encoding_directions(params: BellDiagonalParams, n: int) -> np.ndarray:
         )
     inv = 1.0 / c
     scale = float(np.sqrt(np.sum(inv**2)))
+    bits = np.array(deterministic_strategies(n))
     out = np.zeros((2**n, 3))
-    for x in range(2**n):
-        bits = _input_bits(x, n)
-        for i in range(n):
-            out[x, i] = (-1.0) ** bits[i] * inv[i] / scale
+    out[:, :n] = np.where(bits == 1, -1.0, 1.0) * inv / scale
     return out
 
 
@@ -164,7 +158,7 @@ def simulate_rac(spec: RacSpec) -> RacResult:
     alice = _projectors(spec.encodings)
     bob = _projectors(pauli_axes(n).directions)
     p = np.trace(_born_products(rho, alice, bob), axis1=-2, axis2=-1).real  # [x, i, a, b]
-    bits = np.array([_input_bits(x, n) for x in range(2**n)])
+    bits = np.array(deterministic_strategies(n))
     # The guess a XOR b is right when it equals x_i; a = 0 is summed first.
     table = np.where(bits == 0, p[..., 0, 0] + p[..., 1, 1], p[..., 0, 1] + p[..., 1, 0])
     return RacResult(float(table.min()), table)

@@ -9,15 +9,20 @@ import sys
 import numpy as np
 import pytest
 
-from unsteer import __version__
+from unsteer import ParseError, __version__
 from unsteer.cli import (
+    CommandSpec,
+    build_parser,
     dumps_deterministic,
     format_float,
     main,
     parse_state_spec,
     render_text,
+    run,
 )
 from unsteer.rac import MIN_STEP
+
+UNIFORM_BOX = '{"n": 2, "p": ' + json.dumps(np.full((2, 2, 2, 2), 0.25).tolist()) + "}"
 
 
 def run_cli(argv):
@@ -138,10 +143,11 @@ class TestExitCodes:
         assert out == ""
         assert "must be finite" in err and "internal error" not in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1e-13"])
     def test_bad_tolerance(self, tol):
-        """--tol must be finite and nonnegative; reports echo it, so a NaN
-        would be written as the invalid JSON token nan."""
+        """--tol must be finite and at least 1e-12: reports echo it, so a NaN
+        would be written as the invalid JSON token nan, and below 1e-12 a
+        residual proof would compare float rounding against zero."""
         code, out, err = run_cli(["certify", "--c", "0.5,0.5,0", "--tol", tol])
         assert code == 2
         assert out == ""
@@ -219,11 +225,7 @@ class TestStateCommand:
 class TestOtherCommands:
     def test_box_command(self):
         """box reports correlators, functional, and estimated params."""
-        code, out, _ = run_cli(
-            ["box", "--box", '{"n": 2, "p": ' + json.dumps(
-                np.full((2, 2, 2, 2), 0.25).tolist()
-            ) + "}"]
-        )
+        code, out, _ = run_cli(["box", "--box", UNIFORM_BOX])
         r = json.loads(out)["results"]
         assert code == 0
         assert r["functional"] == 0.0
@@ -307,13 +309,50 @@ class TestOtherCommands:
         assert f"count: {len(rows)}" in text.splitlines()
         assert f"rows: <{len(rows)} items>" in text.splitlines()
 
-    def test_csv_rejected_elsewhere(self):
-        """--format csv is only meaningful for sweep and bb84."""
-        code, _, err = run_cli(["state", "--c", "0.5,0.5,0", "--format", "csv"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state", "--c", "0.5,0.5,0"],
+            ["box", "--box", UNIFORM_BOX],
+            ["certify", "--c", "0.5,0.5,0"],
+            ["rac", "--c", "0.5,0.5,0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_rejected_elsewhere(self, argv):
+        """--format csv is a choice only for sweep and bb84; elsewhere it is
+        a usage error, raised before any analysis runs."""
+        code, out, err = run_cli(argv + ["--format", "csv"])
         assert code == 2
+        assert out == ""
+        assert "invalid choice: 'csv'" in err and "Traceback" not in err
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state", "--c", "0.6,0.4,-0.2"],
+            ["box", "--box", UNIFORM_BOX],
+            ["certify", "--c", "0.5,0.5,0"],
+            ["rac", "--n", "3", "--c", "0.6,0.5,-0.4"],
+            ["sweep", "--n", "2", "--step", "0.1"],
+            ["bb84", "--step", "0.25"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_run_matches_main(self, argv):
+        """run(spec), serialized, is exactly main's JSON report."""
+        argv = argv + ["--format", "json"]
+        spec = CommandSpec(**vars(build_parser().parse_args(argv)))
+        _, out, _ = run_cli(argv)
+        assert dumps_deterministic(run(spec).to_json_dict()) + "\n" == out
+
+    def test_run_rejects_unknown_command(self):
+        """A spec naming no command is a parse error, not a crash."""
+        with pytest.raises(ParseError, match="unknown command 'nope'"):
+            run(CommandSpec("nope"))
+
     def test_byte_identical_reports(self):
         """Two runs of the same invocation produce identical bytes."""
         for argv in (

@@ -279,6 +279,16 @@ class TestTopDimension:
         with pytest.raises(OutOfRange):
             search_lhs_bounded(bd_box(0.5, 0.5, 0.0), pauli_axes(2), 0)
 
+    def test_tolerance_floor(self):
+        """tol below ATOL_BOX = 1e-12 is an error.  At tol = 0 this box's
+        all-distinct residual, 2.2e-16 of rounding, came out as a sound and
+        exhaustive rejection, yet the box has a model, found at tol = 1e-12."""
+        box = bd_box(0.7, 0.3, 0.0)
+        for tol in (0.0, 1e-13):
+            with pytest.raises(OutOfRange, match="tol must be finite"):
+                search_lhs_bounded(box, pauli_axes(2), 4, tol=tol)
+        assert isinstance(search_lhs_bounded(box, pauli_axes(2), 4, tol=1e-12), LhvLhsModel)
+
 
 class TestCertificates:
     def test_verdict_quartet(self):
