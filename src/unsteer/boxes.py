@@ -20,15 +20,16 @@ from .states import (
     BellDiagonalParams,
     DensityMatrix,
     IDENTITY_2,
-    Projector,
     _is_unit,
-    projector_matrix,
+    _projectors,
 )
 
 ATOL_BOX = 1e-12
 ATOL_MUB = 1e-9
 
 _AXES = np.eye(3)
+# (-1)^(a+b) for (a, b) = 00, 01, 10, 11.
+_CORRELATOR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -130,18 +131,11 @@ class Assemblage:
         traces = np.einsum("axii->x", sig).real
         if not np.allclose(traces, 1.0, atol=ATOL_BOX):
             raise InvalidBox(f"assemblage traces sum to {traces}, expected 1")
-        for a in range(sig.shape[0]):
-            for x in range(sig.shape[1]):
-                if float(np.linalg.eigvalsh(sig[a, x]).min()) < -1e-10:
-                    raise InvalidBox(f"sigma({a}|{x}) is not positive semidefinite")
+        negative = np.argwhere(np.linalg.eigvalsh(sig).min(axis=-1) < -1e-10)
+        if negative.size:
+            a, x = negative[0]
+            raise InvalidBox(f"sigma({a}|{x}) is not positive semidefinite")
         return self
-
-
-def _projectors(directions: np.ndarray) -> np.ndarray:
-    """Pi_a^x for every direction x and outcome a, shape (k, 2, 2, 2)."""
-    return np.array(
-        [[projector_matrix(Projector(d, a)) for a in (0, 1)] for d in directions]
-    )
 
 
 def _born_products(
@@ -234,8 +228,8 @@ def correlator(box: Box, x: int, y: int) -> float:
 
 
 def correlator_matrix(box: Box) -> np.ndarray:
-    """All correlators as an (n, n) matrix."""
-    return np.array([[correlator(box, x, y) for y in range(box.n)] for x in range(box.n)])
+    """All correlators as an (n, n) matrix, each summed as correlator sums it."""
+    return (box.p.reshape(box.n, box.n, 4) * _CORRELATOR_SIGNS).sum(axis=-1)
 
 
 def steering_functional(box: Box, n: int) -> float:
@@ -244,7 +238,7 @@ def steering_functional(box: Box, n: int) -> float:
     """
     if box.n != n:
         raise DimensionMismatch(f"box has {box.n} settings per side, asked for n = {n}")
-    diag = [abs(correlator(box, k, k)) for k in range(n)]
+    diag = np.abs(np.diag(correlator_matrix(box)))
     return float(sum(diag) / np.sqrt(n))
 
 
@@ -255,7 +249,7 @@ def estimate_params_from_box(box: Box) -> BellDiagonalParams:
     returned triple is deliberately unvalidated (it may be unphysical even
     when the source state was physical).
     """
-    c = [correlator(box, i, i) for i in range(box.n)]
+    c = np.diag(correlator_matrix(box)).tolist()
     while len(c) < 3:
         c.append(0.0)
     return BellDiagonalParams(c[0], c[1], c[2])

@@ -207,6 +207,9 @@ def _read_json(source: str, what: str):
 def parse_state_spec(source: str) -> BellDiagonalParams:
     """Inline triple "c1,c2,c3", inline JSON, or a path to a JSON file.
 
+    Comma-separated numbers are always an inline triple, so a count other
+    than three is a malformed triple rather than a file name.
+
     Returns:
         Validated parameters; the rejection message for an unphysical triple
         names the negative eigenvalue.
@@ -217,14 +220,15 @@ def parse_state_spec(source: str) -> BellDiagonalParams:
     """
     text = source.strip()
     tokens = text.split(",")
-    if len(tokens) == 3 and not text.startswith("{"):
-        try:
-            params = BellDiagonalParams(*(float(t) for t in tokens))
-        except ValueError as exc:
+    try:
+        values = [float(t) for t in tokens] if len(tokens) > 1 else None
+    except ValueError as exc:
+        if len(tokens) == 3 and not text.startswith("{"):
             raise ParseError(
                 f"inline triple {source!r} has a non-numeric component"
             ) from exc
-    else:
+        values = None
+    if values is None:
         data = _read_json(text, "state")
         c = data.get("c") if isinstance(data, dict) else None
         try:
@@ -235,9 +239,11 @@ def parse_state_spec(source: str) -> BellDiagonalParams:
             raise ParseError(
                 'state JSON must be an object whose "c" is a list of three numbers'
             )
-        params = BellDiagonalParams(*values)
-    params.validate()
-    return params
+    elif len(values) != 3:
+        raise ParseError(
+            f"inline triple {source!r} has {len(values)} components, expected 3"
+        )
+    return BellDiagonalParams(*values).validate()
 
 
 def _load_input(spec: CommandSpec, allowed: tuple[str, ...]) -> BellDiagonalParams | Box:

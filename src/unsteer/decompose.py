@@ -858,6 +858,7 @@ def certify_quantumness(
     Raises:
         InvalidBox, DimensionMismatch, OutOfRange: on malformed input.
     """
+    _check_tol(tol)
     box.validate()
     if box.n != n:
         raise DimensionMismatch(f"box has {box.n} settings, expected {n}")

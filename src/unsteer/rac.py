@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import _born_products, _projectors, deterministic_strategies, pauli_axes
+from .boxes import _born_products, deterministic_strategies
 from .errors import (
     DegenerateAxis,
     DimensionMismatch,
@@ -23,6 +23,7 @@ from .errors import (
 from .states import (
     BellDiagonalParams,
     _is_unit,
+    _projectors,
     bell_diagonal,
     canonical_form,
 )
@@ -32,6 +33,9 @@ CSV_HEADER = "c1,c2,c3,separable,strength_n,efficiency_n,discord"
 # Smallest grid step of a sweep or a bb84 curve: an n=3 sweep at 0.005 already
 # has 457,945 rows, and a step near zero has no finite grid at all.
 MIN_STEP = 0.005
+
+# Bob's projectors onto sigma_x, sigma_y, sigma_z; an n-bit code reads the first n.
+_PAULI_PROJECTORS = _projectors(np.eye(3))
 
 
 @dataclass(frozen=True)
@@ -156,7 +160,7 @@ def simulate_rac(spec: RacSpec) -> RacResult:
     rho = bell_diagonal(spec.params)
     n = spec.n
     alice = _projectors(spec.encodings)
-    bob = _projectors(pauli_axes(n).directions)
+    bob = _PAULI_PROJECTORS[:n]
     p = np.trace(_born_products(rho, alice, bob), axis1=-2, axis2=-1).real  # [x, i, a, b]
     bits = np.array(deterministic_strategies(n))
     # The guess a XOR b is right when it equals x_i; a = 0 is summed first.

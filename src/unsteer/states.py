@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUnitDirection, UnphysicalParams
+from .errors import DimensionMismatch, NonUnitDirection, UnphysicalParams
 
 ComplexMatrix = np.ndarray
 """Dense complex matrix (2x2 or 4x4)."""
@@ -30,6 +30,12 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+
+# The terms of every Bell-diagonal matrix: I (x) I and sigma_i (x) sigma_i.
+_IDENTITY_4 = np.kron(IDENTITY_2, IDENTITY_2)
+_PAULI_PAIRS = tuple(np.kron(sigma, sigma) for sigma in PAULIS)
+# (-1)^outcome for outcomes 0 and 1, shaped to scale a stack of 2x2 matrices.
+_OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -136,9 +142,9 @@ def bell_diagonal(params: BellDiagonalParams) -> DensityMatrix:
         UnphysicalParams: when any eigenvalue is below -1e-10.
     """
     params.validate()
-    rho = np.kron(IDENTITY_2, IDENTITY_2).astype(complex)
-    for c, sigma in zip(params.as_array(), PAULIS):
-        rho = rho + c * np.kron(sigma, sigma)
+    rho = _IDENTITY_4
+    for c, pair in zip(params.as_array(), _PAULI_PAIRS):
+        rho = rho + c * pair
     return rho / 4.0
 
 
@@ -210,23 +216,44 @@ def _is_unit(vectors: np.ndarray) -> bool:
     return bool(np.all(np.abs(norms - 1.0) <= ATOL_MATRIX))
 
 
+def _n_sigma(vectors: np.ndarray) -> np.ndarray:
+    """n.sigma for every row n of a (..., 3) array, shape (..., 2, 2).
+
+    Summed from 0 term by term, x first, as the scalar formula is, so that
+    every entry keeps its bits, signed zeros included."""
+    v = np.asarray(vectors, dtype=float)[..., None, None]
+    return sum(v[..., i, :, :] * sigma for i, sigma in enumerate(PAULIS))
+
+
+def _projectors(directions: np.ndarray) -> np.ndarray:
+    """(I + (-1)^a n.sigma)/2 for every row n of a (..., 3) array and outcome
+    a, shape (..., 2, 2, 2).
+
+    Raises:
+        DimensionMismatch: when the rows are not 3-vectors.
+        NonUnitDirection: when some |n| deviates from 1 by more than 1e-12.
+    """
+    dirs = np.asarray(directions, dtype=float)
+    if dirs.shape[-1:] != (3,):
+        raise DimensionMismatch(f"directions must be 3-vectors, got shape {dirs.shape}")
+    if not _is_unit(dirs):
+        raise NonUnitDirection(f"direction {dirs} has norm {np.linalg.norm(dirs, axis=-1)!r}")
+    return (IDENTITY_2 + _OUTCOME_SIGNS * _n_sigma(dirs)[..., None, :, :]) / 2.0
+
+
 def projector_matrix(p: Projector) -> ComplexMatrix:
     """(I + (-1)^outcome n.sigma)/2 for a unit direction n.
 
     Raises:
+        DimensionMismatch: when n is not a 3-vector.
         NonUnitDirection: when |n| deviates from 1 by more than 1e-12.
     """
-    direction = np.asarray(p.direction, dtype=float)
-    if not _is_unit(direction):
-        raise NonUnitDirection(f"direction {direction} has norm {np.linalg.norm(direction)!r}")
-    n_sigma = sum(n_i * sigma for n_i, sigma in zip(direction, PAULIS))
-    return (IDENTITY_2 + (-1.0) ** (p.outcome % 2) * n_sigma) / 2.0
+    return _projectors(p.direction)[p.outcome % 2]
 
 
 def state_from_bloch(r: np.ndarray) -> DensityMatrix:
     """Qubit state (I + r.sigma)/2; positive-semidefinite iff |r| <= 1."""
-    r = np.asarray(r, dtype=float)
-    return (IDENTITY_2 + sum(r_i * sigma for r_i, sigma in zip(r, PAULIS))) / 2.0
+    return (IDENTITY_2 + _n_sigma(r)) / 2.0
 
 
 def partial_transpose(rho: ComplexMatrix, subsystem: int = 1) -> ComplexMatrix:

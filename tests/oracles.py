@@ -78,6 +78,16 @@ def rac_table_loops(rho, encodings, n):
     return table
 
 
+def first_non_psd_loops(sigma):
+    """The first (a, x), a-major, whose sigma(a|x) has an eigenvalue below
+    -1e-10, or None."""
+    for a in range(sigma.shape[0]):
+        for x in range(sigma.shape[1]):
+            if float(np.linalg.eigvalsh(sigma[a, x]).min()) < -1e-10:
+                return a, x
+    return None
+
+
 def partial_transpose_loops(rho):
     """Transpose the second qubit by reindexing rho[ij,kl] -> rho[il,kj]."""
     pt = np.zeros_like(np.asarray(rho, dtype=complex))

@@ -28,9 +28,11 @@ from unsteer import (
 
 from oracles import (
     FROZEN,
+    PAULIS,
     bell_diagonal_direct,
     born_assemblage,
     born_box,
+    first_non_psd_loops,
     random_physical_triple,
     random_unit_vectors,
 )
@@ -176,6 +178,24 @@ class TestCorrelators:
         mat = correlator_matrix(box)
         assert mat == pytest.approx(np.diag([0.5, 0.4, -0.3]), abs=1e-13)
 
+    def test_matrix_matches_per_entry_correlator_bytes(self):
+        """correlator_matrix equals correlator(box, x, y) entry by entry, byte
+        for byte, on Born boxes of random triples and directions."""
+        rng = np.random.default_rng(67)
+        for n in (2, 3) * 30:
+            c = random_physical_triple(rng)
+            box = box_from_state(
+                bell_diagonal(BellDiagonalParams(*c)),
+                MeasurementSet(random_unit_vectors(rng, n)),
+                MeasurementSet(random_unit_vectors(rng, n)),
+            )
+            want = np.array([[correlator(box, x, y) for y in range(n)] for x in range(n)])
+            assert correlator_matrix(box).tobytes() == want.tobytes()
+        for v in (0.0, 0.5, 1.0):
+            box = white_noise_bb84(v)
+            want = np.array([[correlator(box, x, y) for y in range(2)] for x in range(2)])
+            assert correlator_matrix(box).tobytes() == want.tobytes()
+
     def test_functional_frozen_n3_values(self):
         """Two frozen three-setting witness values."""
         box = box_from_state(
@@ -251,6 +271,45 @@ class TestAssemblage:
             )
             want = born_assemblage(bell_diagonal_direct(*c), alice)
             assert np.abs(asm.sigma - want).max() <= 1e-13
+
+    def test_first_negative_block_named_a_major(self):
+        """validate names the first non-PSD sigma(a|x) in a-major order, as
+        the per-block loop does.  Here sigma(1|0) and sigma(0|1) are the
+        negative blocks, so an x-major scan would name (1|0) instead."""
+        half = np.diag([0.25, 0.25])
+        sigma = np.array(
+            [
+                [np.diag([0.55, 0.1]), np.diag([0.4, -0.05]), half],
+                [np.diag([-0.05, 0.4]), np.diag([0.1, 0.55]), half],
+            ],
+            dtype=complex,
+        )
+        with pytest.raises(InvalidBox, match=r"sigma\(0\|1\) is not positive"):
+            Assemblage(sigma).validate()
+        assert first_non_psd_loops(sigma) == (0, 1)
+
+    def test_negative_block_matches_loop_oracle(self):
+        """On random non-signaling assemblages for n = 2 and 3, validate
+        rejects exactly when the loop finds a negative block, and names it."""
+        def hermitian(weight, bloch):
+            return (weight * np.eye(2) + sum(r * s for r, s in zip(bloch, PAULIS))) / 2.0
+
+        rng = np.random.default_rng(71)
+        raised = 0
+        for n in (2, 3) * 100:
+            reduced = hermitian(1.0, 0.2 * random_unit_vectors(rng, 1)[0])
+            first = np.array(
+                [hermitian(rng.uniform(0.2, 0.8), rng.normal(scale=0.15, size=3)) for _ in range(n)]
+            )
+            sigma = np.array([first, reduced - first])
+            want = first_non_psd_loops(sigma)
+            if want is None:
+                Assemblage(sigma).validate()
+                continue
+            raised += 1
+            with pytest.raises(InvalidBox, match=rf"sigma\({want[0]}\|{want[1]}\) is not"):
+                Assemblage(sigma).validate()
+        assert 20 <= raised <= 180
 
     def test_traces_are_alice_marginals(self):
         """tr sigma(a|x) equals p(a|x) of the corresponding box."""

@@ -122,6 +122,18 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, count",
+        [(["state", "--c", "0.5,0.5"], 2), (["rac", "--c", "0.5,0.5,0,0"], 4)],
+    )
+    def test_triple_with_wrong_component_count(self, argv, count):
+        """Comma-separated numbers other than three are a malformed triple,
+        exit 2, not a state file that cannot be read."""
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert f"has {count} components, expected 3" in err
+        assert "cannot read" not in err
+
     def test_missing_file(self):
         """A nonexistent box file exits 2, not 1."""
         code, _, err = run_cli(["box", "--box", "/nonexistent/box.json"])

@@ -291,6 +291,13 @@ class TestTopDimension:
 
 
 class TestCertificates:
+    def test_tolerance_checked_before_the_witness(self):
+        """certify_quantumness rejects tol = 0 whether the witness decides the
+        box (V = 0.9) or the search would (V = 0.5)."""
+        for v in (0.9, 0.5):
+            with pytest.raises(OutOfRange, match="tol must be finite"):
+                certify_quantumness(white_noise_bb84(v), 2, tol=0.0)
+
     def test_verdict_quartet(self):
         """The four verdicts on their canonical representatives."""
         assert certify_quantumness(white_noise_bb84(0.9), 2).verdict == (

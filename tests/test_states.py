@@ -5,6 +5,7 @@ import pytest
 
 from unsteer import (
     BellDiagonalParams,
+    DimensionMismatch,
     Projector,
     UnphysicalParams,
     NonUnitDirection,
@@ -20,12 +21,15 @@ from unsteer import (
     projector_matrix,
     state_from_bloch,
 )
+from unsteer.states import _projectors
 
 from oracles import (
     FROZEN,
     bell_diagonal_direct,
     partial_transpose_loops,
+    qubit_projector,
     random_physical_triple,
+    random_unit_vectors,
 )
 
 
@@ -89,12 +93,13 @@ class TestBellBasis:
         assert gram == pytest.approx(np.eye(4), abs=1e-15)
 
     def test_bell_diagonal_matches_direct_construction(self):
-        """Projector-sum assembly equals the Pauli-string formula."""
+        """The precomputed Pauli pairs give the kron-per-term formula byte for
+        byte, signed zeros included."""
         rng = np.random.default_rng(11)
-        for _ in range(100):
-            c = random_physical_triple(rng)
+        triples = [random_physical_triple(rng) for _ in range(100)]
+        for c in triples + [(0.0, -0.0, 0.5), (-1.0, -1.0, -1.0)]:
             rho = bell_diagonal(BellDiagonalParams(*c))
-            assert rho == pytest.approx(bell_diagonal_direct(*c), abs=1e-13)
+            assert rho.tobytes() == bell_diagonal_direct(*c).tobytes()
 
     def test_bell_diagonal_is_a_state(self):
         """Unit trace, Hermitian, PSD for a physical triple."""
@@ -234,6 +239,28 @@ class TestProjectors:
             p1 = projector_matrix(Projector(v, 1))
             assert p0 @ p0 == pytest.approx(p0, abs=1e-14)
             assert p0 + p1 == pytest.approx(np.eye(2), abs=1e-14)
+
+    def test_projector_stack_matches_oracle_bytes(self):
+        """The broadcast stack holds qubit_projector(n_x, a) at [x, a] byte for
+        byte, and projector_matrix reads it, for n = 2 and 3 random directions."""
+        rng = np.random.default_rng(53)
+        for n in (2, 3) * 20:
+            dirs = random_unit_vectors(rng, n)
+            stack = _projectors(dirs)
+            assert stack.shape == (n, 2, 2, 2)
+            for x in range(n):
+                for a in (0, 1):
+                    want = qubit_projector(dirs[x], a).tobytes()
+                    assert stack[x, a].tobytes() == want
+                    assert projector_matrix(Projector(dirs[x], a)).tobytes() == want
+
+    def test_malformed_stack_rejected(self):
+        """One non-unit row rejects the whole stack, and rows that are not
+        3-vectors are a dimension mismatch rather than a truncated n.sigma."""
+        with pytest.raises(NonUnitDirection):
+            _projectors(np.array([[1.0, 0.0, 0.0], [0.0, 1.0 + 1e-9, 0.0]]))
+        with pytest.raises(DimensionMismatch):
+            projector_matrix(Projector(np.array([1.0, 0.0]), 0))
 
     def test_non_unit_direction_rejected(self):
         """A direction of norm != 1 raises NonUnitDirection."""
