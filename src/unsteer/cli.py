@@ -207,8 +207,8 @@ def _read_json(source: str, what: str):
 def parse_state_spec(source: str) -> BellDiagonalParams:
     """Inline triple "c1,c2,c3", inline JSON, or a path to a JSON file.
 
-    Comma-separated numbers are always an inline triple, so a count other
-    than three is a malformed triple rather than a file name.
+    Numbers, and any text with a comma that is not inline JSON, are always an
+    inline triple, so a malformed triple is never read as a file name.
 
     Returns:
         Validated parameters; the rejection message for an unphysical triple
@@ -221,9 +221,9 @@ def parse_state_spec(source: str) -> BellDiagonalParams:
     text = source.strip()
     tokens = text.split(",")
     try:
-        values = [float(t) for t in tokens] if len(tokens) > 1 else None
+        values = [float(t) for t in tokens]
     except ValueError as exc:
-        if len(tokens) == 3 and not text.startswith("{"):
+        if len(tokens) > 1 and not text.startswith("{"):
             raise ParseError(
                 f"inline triple {source!r} has a non-numeric component"
             ) from exc
@@ -246,9 +246,11 @@ def parse_state_spec(source: str) -> BellDiagonalParams:
     return BellDiagonalParams(*values).validate()
 
 
-def _load_input(spec: CommandSpec, allowed: tuple[str, ...]) -> BellDiagonalParams | Box:
+def _load_input(spec: CommandSpec) -> BellDiagonalParams | Box:
     """The one input source the spec names: a Box for --box, else params."""
-    present = [name for name in ("c", "state", "box") if getattr(spec, name)]
+    sources = ("c", "state", "box")
+    allowed = [name for name in _COMMANDS[spec.command].flags if name in sources]
+    present = [name for name in sources if getattr(spec, name)]
     if len(present) != 1:
         raise ParseError(
             f"{spec.command} needs exactly one input source "
@@ -285,7 +287,7 @@ def _split_dict(split) -> dict:
 
 
 def _run_state(spec: CommandSpec) -> Report:
-    params = _load_input(spec, ("c", "state"))
+    params = _load_input(spec)
     record = canonical_form(params)
     canon = record.canonical
     results: dict = {
@@ -332,7 +334,7 @@ def _run_state(spec: CommandSpec) -> Report:
 
 
 def _run_box(spec: CommandSpec) -> Report:
-    box = _load_input(spec, ("box",))
+    box = _load_input(spec)
     est = estimate_params_from_box(box)
     results = {
         "n": box.n,
@@ -345,7 +347,7 @@ def _run_box(spec: CommandSpec) -> Report:
 
 
 def _run_certify(spec: CommandSpec) -> Report:
-    source = _load_input(spec, ("c", "state", "box"))
+    source = _load_input(spec)
     if isinstance(source, Box):
         box = source
         inputs: dict = {"box": box_to_json_dict(box)}
@@ -358,7 +360,7 @@ def _run_certify(spec: CommandSpec) -> Report:
 
 
 def _run_rac(spec: CommandSpec) -> Report:
-    params = _load_input(spec, ("c", "state"))
+    params = _load_input(spec)
     efficiency = float(rac_efficiency_bd(params, spec.n))
     results: dict = {
         "n": spec.n,
@@ -387,20 +389,7 @@ def _run_rac(spec: CommandSpec) -> Report:
 
 def _run_sweep(spec: CommandSpec) -> Report:
     sweep = sweep_separable_max(spec.n, spec.step)
-    rows = [
-        [
-            float(t[0]),
-            float(t[1]),
-            float(t[2]),
-            True,
-            float(s),
-            float(e),
-            float(d),
-        ]
-        for t, s, e, d in zip(
-            sweep.triples, sweep.strength, sweep.efficiency, sweep.discord
-        )
-    ]
+    rows = [[*row[:3], True, *row[3:]] for row in sweep.columns.tolist()]
     results = {
         "n": sweep.n,
         "step": sweep.step,

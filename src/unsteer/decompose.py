@@ -469,28 +469,25 @@ def verify_lhv_lhs(model: LhvLhsModel, target: Box, tol: float) -> tuple[bool, f
 # ---------------------------------------------------------------------------
 
 
-def _set_partitions(items: tuple, k: int):
-    """Partitions of `items` into exactly k nonempty classes, emitted in
-    restricted-growth-string order (deterministic; classes ordered by first
-    occurrence)."""
-    m = len(items)
-    if k < 1 or k > m:
+def _sorted_subsets(items: tuple):
+    """Every subset of `items` as a tuple, in sorted tuple order."""
+    yield ()
+    for i, item in enumerate(items):
+        for tail in _sorted_subsets(items[i + 1 :]):
+            yield (item, *tail)
+
+
+def _sorted_partitions(items: tuple, k: int):
+    """Partitions of `items` into k nonempty classes, in sorted order: items[0]
+    with each subset of the rest in turn, then what is left in k - 1 classes."""
+    if k == 1:
+        yield (items,)
         return
-    codes = [0] * m
-
-    def rec(i: int, used: int):
-        if i == m:
-            if used == k:
-                classes: list[list] = [[] for _ in range(k)]
-                for item, code in zip(items, codes):
-                    classes[code].append(item)
-                yield tuple(tuple(c) for c in classes)
-            return
-        for code in range(min(used + 1, k)):
-            codes[i] = code
-            yield from rec(i + 1, max(used, code + 1))
-
-    yield from rec(1, 1)
+    for subset in _sorted_subsets(items[1:]):
+        rest = tuple(item for item in items[1:] if item not in subset)
+        if len(rest) >= k - 1:
+            for tail in _sorted_partitions(rest, k - 1):
+                yield ((items[0], *subset), *tail)
 
 
 @functools.lru_cache(maxsize=None)
@@ -508,7 +505,7 @@ def _case_labels(n: int, d: int) -> tuple[str, ...]:
         for subset in itertools.combinations(names, d_prime):
             labels += (
                 "grouped:" + "|".join(map(",".join, partition))
-                for partition in sorted(_set_partitions(subset, d))
+                for partition in _sorted_partitions(subset, d)
             )
     return tuple(labels)
 

@@ -143,9 +143,8 @@ def optimal_rac_spec(params: BellDiagonalParams, n: int) -> RacSpec:
     Raises:
         DegenerateAxis, UnphysicalParams, UnsupportedN: as in the parts.
     """
-    params.validate()
-    canon = canonical_form(params).canonical
-    return RacSpec(n=n, params=canon, encodings=encoding_directions(canon, n))
+    encodings = encoding_directions(params, n)
+    return RacSpec(n=n, params=canonical_form(params).canonical, encodings=encodings)
 
 
 def simulate_rac(spec: RacSpec) -> RacResult:
@@ -156,7 +155,6 @@ def simulate_rac(spec: RacSpec) -> RacResult:
     guesses a XOR b.  The table entry is the probability that the guess
     equals x_i; P_min is its minimum.
     """
-    spec.params.validate()
     rho = bell_diagonal(spec.params)
     n = spec.n
     alice = _projectors(spec.encodings)
@@ -254,6 +252,12 @@ class SweepReport:
     efficiency_max: float
     witness_pair: tuple[dict, dict] | None = field(default=None)
 
+    @property
+    def columns(self) -> np.ndarray:
+        """(m, 6) table of c1, c2, c3, strength, efficiency, discord per row."""
+        table = (self.triples, self.strength, self.efficiency, self.discord)
+        return np.column_stack(table) + 0.0  # normalize any -0.0
+
 
 def _separable_canonical_grid(step: float) -> np.ndarray:
     """All canonical triples on the step grid with c1 + c2 + |c3| <= 1, which
@@ -295,21 +299,19 @@ def _find_witness_pair(
     """First pair (in discord order) where higher discord buys strictly lower
     efficiency — the ordering disagreement that makes the two measures
     non-monotonic in each other."""
+
+    def point(i) -> dict:
+        return {
+            "params": tuple(float(v) for v in triples[i]),
+            "efficiency": float(efficiency[i]),
+            "discord": float(discord[i]),
+        }
+
     order = np.argsort(discord, kind="stable")
     best = order[0]
     for idx in order[1:]:
         if efficiency[idx] < efficiency[best] and discord[idx] > discord[best]:
-            low = {
-                "params": tuple(float(v) for v in triples[best]),
-                "efficiency": float(efficiency[best]),
-                "discord": float(discord[best]),
-            }
-            high = {
-                "params": tuple(float(v) for v in triples[idx]),
-                "efficiency": float(efficiency[idx]),
-                "discord": float(discord[idx]),
-            }
-            return low, high
+            return point(best), point(idx)
         if efficiency[idx] > efficiency[best]:
             best = idx
     return None
@@ -352,9 +354,7 @@ def sweep_csv_lines(report: SweepReport) -> list[str]:
     """The sweep as CSV lines: mandatory header, 17-significant-digit floats,
     and a literal true/false separable column (the grid is separable by
     construction)."""
-    columns = np.column_stack(
-        (report.triples, report.strength, report.efficiency, report.discord)
-    ) + 0.0  # normalize any -0.0
+    columns = report.columns
     # Grid columns repeat heavily, so each distinct value is formatted once;
     # the constant separable column is one more entry of the same table.
     values, inverse = np.unique(columns, return_inverse=True)

@@ -256,16 +256,9 @@ def state_from_bloch(r: np.ndarray) -> DensityMatrix:
     return (IDENTITY_2 + _n_sigma(r)) / 2.0
 
 
-def partial_transpose(rho: ComplexMatrix, subsystem: int = 1) -> ComplexMatrix:
-    """Partial transpose of a two-qubit operator over one subsystem."""
-    r = np.asarray(rho).reshape(2, 2, 2, 2)
-    if subsystem == 0:
-        r = r.transpose(2, 1, 0, 3)
-    elif subsystem == 1:
-        r = r.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError("subsystem must be 0 or 1")
-    return r.reshape(4, 4)
+def partial_transpose(rho: ComplexMatrix) -> ComplexMatrix:
+    """Partial transpose of a two-qubit operator over the second qubit."""
+    return np.asarray(rho).reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
 
 
 def is_ppt(rho: ComplexMatrix) -> bool:

@@ -134,6 +134,24 @@ class TestExitCodes:
         assert f"has {count} components, expected 3" in err
         assert "cannot read" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["state", "--c", "0.5"],
+            ["state", "--c", "0.5,"],
+            ["state", "--c", ",0.5"],
+            ["state", "--c=-0.2"],
+            ["state", "--c", "nan"],
+        ],
+    )
+    def test_lone_number_is_malformed_triple(self, argv):
+        """A lone number or a triple with an empty component is a malformed
+        triple, exit 2, not a state file that cannot be read."""
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert "inline triple" in err
+        assert "cannot read" not in err and "Traceback" not in err
+
     def test_missing_file(self):
         """A nonexistent box file exits 2, not 1."""
         code, _, err = run_cli(["box", "--box", "/nonexistent/box.json"])
@@ -364,6 +382,20 @@ class TestDeterminism:
         """A spec naming no command is a parse error, not a crash."""
         with pytest.raises(ParseError, match="unknown command 'nope'"):
             run(CommandSpec("nope"))
+
+    @pytest.mark.parametrize(
+        "spec, flag",
+        [
+            (CommandSpec("rac", box=UNIFORM_BOX), "--box"),
+            (CommandSpec("box", c="0.5,0.5,0"), "--c"),
+        ],
+        ids=["rac", "box"],
+    )
+    def test_run_rejects_unread_source(self, spec, flag):
+        """run() checks the input source against the command table, which
+        argparse hides from main."""
+        with pytest.raises(ParseError, match=f"does not accept {flag}$"):
+            run(spec)
 
     def test_byte_identical_reports(self):
         """Two runs of the same invocation produce identical bytes."""
