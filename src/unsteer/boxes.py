@@ -20,6 +20,7 @@ from .states import (
     BellDiagonalParams,
     DensityMatrix,
     IDENTITY_2,
+    _check_n,
     _is_unit,
     _projectors,
 )
@@ -63,8 +64,7 @@ class MeasurementSet:
 
 def pauli_axes(n: int) -> MeasurementSet:
     """The aligned Pauli set: x-hat, y-hat (and z-hat for n = 3)."""
-    if n not in (2, 3):
-        raise OutOfRange(f"n must be 2 or 3, got {n}")
+    _check_n(n)
     return MeasurementSet(_AXES[:n].copy())
 
 

@@ -33,6 +33,7 @@ from .boxes import (
     white_noise_bb84,
 )
 from .decompose import (
+    ATOL_CANONICAL,
     _check_tol,
     canonical_split_2set,
     canonical_split_3set,
@@ -129,16 +130,8 @@ def dumps_deterministic(obj) -> str:
     """Compact JSON with sorted keys and fixed float formatting, so equal
     inputs serialize to equal bytes on every run and platform."""
     obj = _to_plain(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
     if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         body = ",".join(
@@ -148,7 +141,8 @@ def dumps_deterministic(obj) -> str:
         return "{" + body + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(dumps_deterministic(v) for v in obj) + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    # None, bools, ints and strings; anything else is a TypeError.
+    return json.dumps(obj, ensure_ascii=False)
 
 
 def _text_value(value) -> str:
@@ -204,11 +198,37 @@ def _read_json(source: str, what: str):
         raise ParseError(f"{origin}: invalid JSON ({exc})") from exc
 
 
+def _parse_triple(source: str) -> BellDiagonalParams:
+    """The validated params of an inline triple "c1,c2,c3"."""
+    try:
+        values = [float(t) for t in source.strip().split(",")]
+    except ValueError as exc:
+        raise ParseError(f"inline triple {source!r} has a non-numeric component") from exc
+    if len(values) != 3:
+        raise ParseError(f"inline triple {source!r} has {len(values)} components, expected 3")
+    return BellDiagonalParams(*values).validate()
+
+
+def _parse_state_json(source: str) -> BellDiagonalParams:
+    """The validated params of inline state JSON or of a state JSON file,
+    {"c": [c1, c2, c3]}."""
+    data = _read_json(source, "state")
+    c = data.get("c") if isinstance(data, dict) else None
+    try:
+        values = [float(v) for v in c] if isinstance(c, (list, tuple)) else []
+    except (TypeError, ValueError):
+        values = []
+    if len(values) != 3:
+        raise ParseError('state JSON must be an object whose "c" is a list of three numbers')
+    return BellDiagonalParams(*values).validate()
+
+
 def parse_state_spec(source: str) -> BellDiagonalParams:
     """Inline triple "c1,c2,c3", inline JSON, or a path to a JSON file.
 
-    Numbers, and any text with a comma that is not inline JSON, are always an
-    inline triple, so a malformed triple is never read as a file name.
+    A number, or text with a comma that is not inline JSON, is an inline
+    triple, so a malformed triple is never read as a file name.  The CLI
+    reads --c only as a triple and --state only as JSON.
 
     Returns:
         Validated parameters; the rejection message for an unphysical triple
@@ -219,38 +239,26 @@ def parse_state_spec(source: str) -> BellDiagonalParams:
         UnphysicalParams: valid syntax, invalid state.
     """
     text = source.strip()
-    tokens = text.split(",")
     try:
-        values = [float(t) for t in tokens]
-    except ValueError as exc:
-        if len(tokens) > 1 and not text.startswith("{"):
-            raise ParseError(
-                f"inline triple {source!r} has a non-numeric component"
-            ) from exc
-        values = None
-    if values is None:
-        data = _read_json(text, "state")
-        c = data.get("c") if isinstance(data, dict) else None
-        try:
-            values = [float(v) for v in c] if isinstance(c, (list, tuple)) else []
-        except (TypeError, ValueError):
-            values = []
-        if len(values) != 3:
-            raise ParseError(
-                'state JSON must be an object whose "c" is a list of three numbers'
-            )
-    elif len(values) != 3:
-        raise ParseError(
-            f"inline triple {source!r} has {len(values)} components, expected 3"
-        )
-    return BellDiagonalParams(*values).validate()
+        float(text)
+    except ValueError:
+        if text.startswith("{") or "," not in text:
+            return _parse_state_json(source)
+    return _parse_triple(source)
+
+
+# The reader of each input source, keyed by its CommandSpec field.
+_SOURCES = {
+    "c": _parse_triple,
+    "state": _parse_state_json,
+    "box": lambda source: box_from_json_dict(_read_json(source, "box")),
+}
 
 
 def _load_input(spec: CommandSpec) -> BellDiagonalParams | Box:
     """The one input source the spec names: a Box for --box, else params."""
-    sources = ("c", "state", "box")
-    allowed = [name for name in _COMMANDS[spec.command].flags if name in sources]
-    present = [name for name in sources if getattr(spec, name)]
+    allowed = [name for name in _COMMANDS[spec.command].flags if name in _SOURCES]
+    present = [name for name in _SOURCES if getattr(spec, name)]
     if len(present) != 1:
         raise ParseError(
             f"{spec.command} needs exactly one input source "
@@ -258,9 +266,7 @@ def _load_input(spec: CommandSpec) -> BellDiagonalParams | Box:
         )
     if present[0] not in allowed:
         raise ParseError(f"{spec.command} does not accept --{present[0]}")
-    if present[0] == "box":
-        return box_from_json_dict(_read_json(spec.box, "box"))
-    return parse_state_spec(getattr(spec, present[0]))
+    return _SOURCES[present[0]](getattr(spec, present[0]))
 
 
 def _params_triple(params: BellDiagonalParams) -> list[float]:
@@ -306,7 +312,7 @@ def _run_state(spec: CommandSpec) -> Report:
             "n2": _split_dict(canonical_split_2set(canon)),
             "n3": (
                 _split_dict(canonical_split_3set(canon))
-                if canon.c3 <= 1e-12
+                if canon.c3 <= ATOL_CANONICAL
                 else None
             ),
         },

@@ -56,7 +56,7 @@ from .errors import (
     PhaseDomainError,
     PreconditionViolated,
 )
-from .states import BellDiagonalParams, bell_diagonal, canonical_form
+from .states import BellDiagonalParams, _canonical_head, _check_n, bell_diagonal
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -221,7 +221,11 @@ def schrodinger_strength_bb84(v: float) -> tuple[float, ConvexSplit]:
 # ---------------------------------------------------------------------------
 
 
-def _require_canonical(params: BellDiagonalParams) -> None:
+def _require_canonical(params: BellDiagonalParams, n: int) -> None:
+    """The precondition of the n-setting split and model: a canonical
+    triple, with c3 <= 0 (within ATOL_CANONICAL) at n = 3, where a positive
+    c3 leaves a remainder that is not separable; then a physical one."""
+    _check_n(n)
     c1, c2, c3 = params.c1, params.c2, params.c3
     if c1 < -ATOL_CANONICAL or c2 < -ATOL_CANONICAL:
         raise PreconditionViolated(
@@ -231,6 +235,11 @@ def _require_canonical(params: BellDiagonalParams) -> None:
         raise PreconditionViolated(
             f"canonical triple needs c1 >= c2 >= |c3|, got ({c1}, {c2}, {c3})"
         )
+    if n == 3 and c3 > ATOL_CANONICAL:
+        raise PreconditionViolated(
+            f"three-setting split and model require c3 <= 0, got c3 = {c3}"
+        )
+    params.validate()
 
 
 def schrodinger_strength_bd(params: BellDiagonalParams, n: int) -> float:
@@ -238,13 +247,9 @@ def schrodinger_strength_bd(params: BellDiagonalParams, n: int) -> float:
 
     Raises:
         UnphysicalParams: for unphysical triples.
-        OutOfRange: for n outside {2, 3}.
+        UnsupportedN: for n outside {2, 3}.
     """
-    params.validate()
-    if n not in (2, 3):
-        raise OutOfRange(f"n must be 2 or 3, got {n}")
-    cf = canonical_form(params).canonical
-    return abs(cf.c2) if n == 2 else abs(cf.c3)
+    return abs(float(_canonical_head(params, n)[-1]))
 
 
 def two_set_remainder(params: BellDiagonalParams) -> BellDiagonalParams:
@@ -263,6 +268,23 @@ def three_set_remainder(params: BellDiagonalParams) -> BellDiagonalParams:
     return BellDiagonalParams((c1 + c3) / (1.0 + c3), (c2 + c3) / (1.0 + c3), 0.0)
 
 
+def _canonical_split(params: BellDiagonalParams, n: int) -> ConvexSplit:
+    """tau = w |beta_01><beta_01| + (1 - w) rho_sep, with w = c2 at n = 2 and
+    w = |c3| at n = 3, under the preconditions of _require_canonical."""
+    _require_canonical(params, n)
+    if n == 2:
+        weight, rem = params.c2, two_set_remainder(params)
+    else:
+        weight, rem = abs(min(params.c3, 0.0)), three_set_remainder(params)
+    return ConvexSplit(
+        weight,
+        bell_diagonal(_BETA_01),
+        bell_diagonal(rem),
+        steerable_params=_BETA_01,
+        unsteerable_params=rem,
+    )
+
+
 def canonical_split_2set(params: BellDiagonalParams) -> ConvexSplit:
     """tau = c2 |beta_01><beta_01| + (1 - c2) rho_sep for canonical triples.
 
@@ -270,16 +292,7 @@ def canonical_split_2set(params: BellDiagonalParams) -> ConvexSplit:
         PreconditionViolated: for non-canonical input.
         UnphysicalParams: for unphysical input.
     """
-    _require_canonical(params)
-    params.validate()
-    rem = two_set_remainder(params)
-    return ConvexSplit(
-        params.c2,
-        bell_diagonal(_BETA_01),
-        bell_diagonal(rem),
-        steerable_params=_BETA_01,
-        unsteerable_params=rem,
-    )
+    return _canonical_split(params, 2)
 
 
 def canonical_split_3set(params: BellDiagonalParams) -> ConvexSplit:
@@ -290,20 +303,7 @@ def canonical_split_3set(params: BellDiagonalParams) -> ConvexSplit:
         the construction's remainder stops being separable.
         UnphysicalParams: for unphysical input.
     """
-    _require_canonical(params)
-    if params.c3 > 1e-12:
-        raise PreconditionViolated(
-            f"three-setting split requires c3 <= 0, got c3 = {params.c3}"
-        )
-    params.validate()
-    rem = three_set_remainder(params)
-    return ConvexSplit(
-        abs(min(params.c3, 0.0)),
-        bell_diagonal(_BETA_01),
-        bell_diagonal(rem),
-        steerable_params=_BETA_01,
-        unsteerable_params=rem,
-    )
+    return _canonical_split(params, 3)
 
 
 def canonical_box_split(params: BellDiagonalParams, n: int) -> ConvexSplit:
@@ -314,14 +314,9 @@ def canonical_box_split(params: BellDiagonalParams, n: int) -> ConvexSplit:
     entrywise (the Born rule is linear in the state).
 
     Raises:
-        OutOfRange: for n outside {2, 3}; preconditions as in the state splits.
+        UnsupportedN: for n outside {2, 3}; preconditions as in the state splits.
     """
-    if n == 2:
-        state_split = canonical_split_2set(params)
-    elif n == 3:
-        state_split = canonical_split_3set(params)
-    else:
-        raise OutOfRange(f"n must be 2 or 3, got {n}")
+    state_split = _canonical_split(params, n)
     axes = pauli_axes(n)
     return ConvexSplit(
         state_split.weight,
@@ -347,8 +342,7 @@ def build_lhs_model_2set(params: BellDiagonalParams) -> LhvLhsModel:
     Raises:
         PreconditionViolated: for non-canonical input.
     """
-    _require_canonical(params)
-    params.validate()
+    _require_canonical(params, 2)
     c1p = two_set_remainder(params).c1
     z = float(np.sqrt(max(0.0, 1.0 - c1p * c1p)))
     alice = np.array(
@@ -408,12 +402,7 @@ def build_lhs_model_3set(params: BellDiagonalParams) -> LhvLhsModel:
         PreconditionViolated: for non-canonical input or c3 > 0.
         PhaseDomainError: propagated from the phase geometry.
     """
-    _require_canonical(params)
-    if params.c3 > 1e-12:
-        raise PreconditionViolated(
-            f"four-state model requires c3 <= 0, got c3 = {params.c3}"
-        )
-    params.validate()
+    _require_canonical(params, 3)
     geo = three_set_model_parameters(params)
     d1, d2, f = geo["d1"], geo["d2"], geo["f"]
     alice = np.empty((4, 3, 2))

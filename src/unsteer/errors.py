@@ -44,7 +44,7 @@ class InvalidModel(UnsteerError):
     non-stochastic response table, or Bloch norm above 1)."""
 
 
-class UnsupportedN(UnsteerError):
+class UnsupportedN(OutOfRange):
     """A number of settings outside {2, 3}."""
 
 

@@ -13,15 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import _born_products, deterministic_strategies
-from .errors import (
-    DegenerateAxis,
-    DimensionMismatch,
-    NonUnitDirection,
-    OutOfRange,
-    UnsupportedN,
-)
+from .errors import DegenerateAxis, DimensionMismatch, NonUnitDirection, OutOfRange
 from .states import (
     BellDiagonalParams,
+    _canonical_head,
+    _check_n,
     _is_unit,
     _projectors,
     bell_diagonal,
@@ -54,8 +50,7 @@ class RacSpec:
     def __post_init__(self):
         enc = np.atleast_2d(np.asarray(self.encodings, dtype=float))
         object.__setattr__(self, "encodings", enc)
-        if self.n not in (2, 3):
-            raise UnsupportedN(f"n must be 2 or 3, got {self.n}")
+        _check_n(self.n)
         if enc.shape != (2 ** self.n, 3):
             raise DimensionMismatch(
                 f"expected {2 ** self.n} encoding directions of length 3, "
@@ -82,11 +77,8 @@ def rac_classical_bound(n: int) -> float:
     Raises:
         UnsupportedN: for any other n.
     """
-    if n == 2:
-        return 2.0 / 3.0
-    if n == 3:
-        return 0.5
-    raise UnsupportedN(f"classical bound known for n in {{2, 3}} only, got {n}")
+    _check_n(n)
+    return 2.0 / 3.0 if n == 2 else 0.5
 
 
 def rac_efficiency_bd(params: BellDiagonalParams, n: int) -> float:
@@ -99,10 +91,7 @@ def rac_efficiency_bd(params: BellDiagonalParams, n: int) -> float:
         UnphysicalParams: for unphysical triples.
         UnsupportedN: for n outside {2, 3}.
     """
-    params.validate()
-    if n not in (2, 3):
-        raise UnsupportedN(f"n must be 2 or 3, got {n}")
-    c = canonical_form(params).canonical.as_array()[:n]
+    c = _canonical_head(params, n)
     if np.any(c == 0.0):
         return 0.5
     total = float(np.sum(1.0 / c**2))
@@ -120,10 +109,7 @@ def encoding_directions(params: BellDiagonalParams, n: int) -> np.ndarray:
         DegenerateAxis: when some relevant c_i' = 0.
         UnsupportedN: for n outside {2, 3}.
     """
-    params.validate()
-    if n not in (2, 3):
-        raise UnsupportedN(f"n must be 2 or 3, got {n}")
-    c = canonical_form(params).canonical.as_array()[:n]
+    c = _canonical_head(params, n)
     if np.any(c == 0.0):
         raise DegenerateAxis(
             "encoding undefined when a relevant axis vanishes, canonical "
@@ -197,10 +183,7 @@ def optimize_rac(params: BellDiagonalParams, n: int) -> RacResult:
     # Imported here so that the closed-form paths never load scipy.
     from scipy import optimize
 
-    params.validate()
-    if n not in (2, 3):
-        raise UnsupportedN(f"n must be 2 or 3, got {n}")
-    c = canonical_form(params).canonical.as_array()[:n]
+    c = _canonical_head(params, n)
     rng = np.random.default_rng(0)
     starts = []
     try:
@@ -325,8 +308,7 @@ def sweep_separable_max(n: int, step: float = 0.01) -> SweepReport:
         UnsupportedN: for n outside {2, 3}.
         OutOfRange: for step outside [MIN_STEP, 0.1].
     """
-    if n not in (2, 3):
-        raise UnsupportedN(f"n must be 2 or 3, got {n}")
+    _check_n(n)
     if not MIN_STEP <= step <= 0.1:
         raise OutOfRange(f"step must lie in [{MIN_STEP}, 0.1], got {step}")
     triples = _separable_canonical_grid(step)

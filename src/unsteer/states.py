@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonUnitDirection, UnphysicalParams
+from .errors import DimensionMismatch, NonUnitDirection, UnphysicalParams, UnsupportedN
 
 ComplexMatrix = np.ndarray
 """Dense complex matrix (2x2 or 4x4)."""
@@ -207,6 +207,20 @@ def apply_canonical_transform(params: BellDiagonalParams, transform) -> BellDiag
         else:
             raise ValueError(f"unknown transform step {kind!r}")
     return BellDiagonalParams(*(v + 0.0 for v in values))
+
+
+def _check_n(n: int) -> None:
+    """The one settings-count check of every code, split and closed form."""
+    if n not in (2, 3):
+        raise UnsupportedN(f"n must be 2 or 3, got {n}")
+
+
+def _canonical_head(params: BellDiagonalParams, n: int) -> np.ndarray:
+    """The first n canonical components of a triple, after UnphysicalParams
+    and UnsupportedN checks: the input of every n-setting closed form."""
+    params.validate()
+    _check_n(n)
+    return canonical_form(params).canonical.as_array()[:n]
 
 
 def _is_unit(vectors: np.ndarray) -> bool:

@@ -142,15 +142,33 @@ class TestExitCodes:
             ["state", "--c", ",0.5"],
             ["state", "--c=-0.2"],
             ["state", "--c", "nan"],
+            ["state", "--c", '{"c": [0.5, 0.5, 0]}'],
         ],
     )
     def test_lone_number_is_malformed_triple(self, argv):
-        """A lone number or a triple with an empty component is a malformed
-        triple, exit 2, not a state file that cannot be read."""
+        """A lone number, a triple with an empty component, or inline JSON
+        after --c is a malformed triple, exit 2, not a state file that cannot
+        be read or a state."""
         code, out, err = run_cli(argv)
         assert code == 2 and out == ""
         assert "inline triple" in err
         assert "cannot read" not in err and "Traceback" not in err
+
+    def test_state_path_with_comma(self, tmp_path):
+        """--state is only JSON or a path, so a path holding commas is read
+        as a file, not as an inline triple."""
+        target = tmp_path / "a,b" / "s,t.json"
+        target.parent.mkdir()
+        target.write_text('{"c": [0.5, 0.4, -0.3]}')
+        code, out, _ = run_cli(["state", "--state", str(target)])
+        assert code == 0
+        assert out == run_cli(["state", "--c", "0.5,0.4,-0.3"])[1]
+
+    def test_state_flag_is_not_a_triple(self):
+        """--state never reads an inline triple; a triple there is a path."""
+        code, out, err = run_cli(["state", "--state", "0.5,0.5,0"])
+        assert code == 2 and out == ""
+        assert "cannot read state file" in err
 
     def test_missing_file(self):
         """A nonexistent box file exits 2, not 1."""
@@ -223,6 +241,76 @@ class TestExitCodes:
         assert f"error: step must lie in [{MIN_STEP}, 0.1]" in err
 
 
+# Each command's numeric flags, and the arguments that make the rest of its
+# invocation valid and light; a flag given after them overrides them.
+NUMERIC_FLAGS = {
+    "state": (("n", "dim", "tol"), ["--c", "0.5,0.4,-0.3"]),
+    "certify": (("n", "dim", "tol"), ["--c", "0.5,0.4,-0.3"]),
+    "rac": (("n",), ["--c", "0.5,0.4,-0.3"]),
+    "sweep": (("n", "step"), ["--step", "0.1"]),
+    "bb84": (("dim", "tol", "v", "step"), ["--step", "0.25"]),
+}
+ODD_VALUES = ("nan", "inf", "-inf", "0", "-0.0", "-1", "1e300", "1e-320", "", "abc")
+EXTREME_TRIPLES = (
+    "1e300,0,0",
+    "1e-320,1e-320,-1e-320",
+    "-0.0,-0.0,-0.0",
+    "1,1,-1",
+    "-1,-1,-1",
+    "1,-1,1",
+    "0,0,1",
+    "1,1,1",
+)
+ODD_BOXES = (
+    "[]",
+    '{"n": 2, "p": "x"}',
+    '{"n": true, "p": []}',
+    UNIFORM_BOX.replace('"n": 2', '"n": 2.0'),
+    UNIFORM_BOX.replace("0.25", "NaN", 1),
+    '{"n": 3, "p": [[[[1e300]]]]}',
+)
+# Inclusive ends of the step ranges, light enough to run; sweep's MIN_STEP is not.
+BOUNDARY_ARGV = (
+    ["sweep", "--n", "3", "--step=0.1"],
+    ["bb84", f"--step={MIN_STEP}"],
+    ["bb84", "--step=1"],
+)
+ARGV_GRID = (
+    [
+        [command, *base, f"--{flag}={value}"]
+        for command, (flags, base) in NUMERIC_FLAGS.items()
+        for flag in flags
+        for value in ODD_VALUES
+    ]
+    + [
+        [command, *n, f"--c={triple}"]
+        for triple in EXTREME_TRIPLES
+        for command, n in (("state", []), ("certify", []), ("rac", ["--n", "3"]))
+    ]
+    + [[command, "--box", box] for box in ODD_BOXES for command in ("box", "certify")]
+    + list(BOUNDARY_ARGV)
+)
+
+
+class TestArgvGrid:
+    @pytest.mark.parametrize("argv", ARGV_GRID, ids=" ".join)
+    def test_exit_zero_or_two(self, argv):
+        """Odd numbers, empty and non-numeric text in every numeric flag, and
+        extreme triples and boxes, end in a parsable report (exit 0) or a
+        named error (exit 2), never in a traceback or an internal error."""
+        code, out, err = run_cli(argv)
+        assert code in (0, 2), err
+        assert "Traceback" not in err and "internal error" not in err
+        if code == 2:
+            assert out == ""
+        elif argv[0] == "sweep":
+            lines = out.splitlines()
+            assert lines[0] == "c1,c2,c3,separable,strength_n,efficiency_n,discord"
+            assert len(lines) > 1 and all(line.count(",") == 6 for line in lines)
+        else:
+            assert json.loads(out)["command"] == argv[0]
+
+
 class TestStateCommand:
     def test_report_blocks(self):
         """The state report carries spectra, splits, RAC data, certificate."""
@@ -243,6 +331,16 @@ class TestStateCommand:
         r = json.loads(out)["results"]
         assert r["splits"]["n3"] is None
         assert "three-setting split undefined" in r["splits"]["n3_skipped_reason"]
+
+    @pytest.mark.parametrize("c3, has_split", [("1e-12", True), ("2e-12", False)])
+    def test_three_setting_split_threshold(self, c3, has_split):
+        """The report reads the library's c3 threshold, ATOL_CANONICAL: the
+        split is present exactly when canonical_split_3set accepts."""
+        code, out, _ = run_cli(["state", "--c", f"0.3,0.3,{c3}"])
+        splits = json.loads(out)["results"]["splits"]
+        assert code == 0
+        assert (splits["n3"] is not None) == has_split
+        assert ("n3_skipped_reason" in splits) != has_split
 
     def test_canonicalization_recorded(self):
         """Non-canonical input records the transform steps."""

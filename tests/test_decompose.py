@@ -250,6 +250,14 @@ class TestClosedFormModels:
         with pytest.raises(PreconditionViolated):
             build_lhs_model_3set(BellDiagonalParams(0.5, 0.4, 0.2))
 
+    @pytest.mark.parametrize("build", [canonical_split_3set, build_lhs_model_3set])
+    def test_3set_c3_threshold(self, build):
+        """The three-setting split and model share one c3 <= 0 precondition,
+        within ATOL_CANONICAL = 1e-12: 1e-12 passes, 2e-12 does not."""
+        build(BellDiagonalParams(0.3, 0.3, 1e-12))
+        with pytest.raises(PreconditionViolated, match="require c3 <= 0, got c3 = 2e-12"):
+            build(BellDiagonalParams(0.3, 0.3, 2e-12))
+
 
 class TestVerifyModel:
     def test_dimension_mismatch(self):

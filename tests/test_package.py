@@ -3,19 +3,62 @@
 import os
 import subprocess
 import sys
+from types import ModuleType
 
+import numpy as np
+import pytest
 import scipy.optimize
 
 import unsteer
 
 
 def test_every_exported_name_resolves():
-    """Each name in __all__ exists, and a star import binds all of them."""
+    """Each name in __all__ exists, a star import binds all of them, and
+    __all__ holds __version__ and no submodule."""
     missing = [name for name in unsteer.__all__ if not hasattr(unsteer, name)]
     assert missing == []
     namespace: dict = {}
     exec("from unsteer import *", namespace)
     assert set(unsteer.__all__) <= set(namespace)
+    assert "__version__" in unsteer.__all__
+    values = [getattr(unsteer, name) for name in unsteer.__all__]
+    assert not [value for value in values if isinstance(value, ModuleType)]
+
+
+_PARAMS = unsteer.BellDiagonalParams(0.5, 0.4, -0.3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: unsteer.pauli_axes(n),
+        lambda n: unsteer.schrodinger_strength_bd(_PARAMS, n),
+        lambda n: unsteer.canonical_box_split(_PARAMS, n),
+        lambda n: unsteer.RacSpec(n, _PARAMS, np.zeros((2**n, 3))),
+        lambda n: unsteer.rac_classical_bound(n),
+        lambda n: unsteer.rac_efficiency_bd(_PARAMS, n),
+        lambda n: unsteer.encoding_directions(_PARAMS, n),
+        lambda n: unsteer.optimize_rac(_PARAMS, n),
+        lambda n: unsteer.sweep_separable_max(n),
+    ],
+    ids=[
+        "pauli_axes",
+        "schrodinger_strength_bd",
+        "canonical_box_split",
+        "RacSpec",
+        "rac_classical_bound",
+        "rac_efficiency_bd",
+        "encoding_directions",
+        "optimize_rac",
+        "sweep_separable_max",
+    ],
+)
+def test_one_settings_count_check(call):
+    """Every n-setting entry point rejects n = 4 with UnsupportedN, which is
+    also an OutOfRange, and with one message."""
+    with pytest.raises(unsteer.UnsupportedN, match="^n must be 2 or 3, got 4$") as info:
+        call(4)
+    assert isinstance(info.value, unsteer.OutOfRange)
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
