@@ -9,16 +9,16 @@ hidden-variable dimension.
 
 Soundness policy of the search: a case is rejected only with a reason that is
 an actual proof — a nonzero linear residual, a unique solution violating the
-weight/Bloch cones, or a model-universal obstruction derived from the
-correlator matrix (rank, diagonal norm, or row norm).  Whenever a case cannot
-be proved infeasible and no model is found, the trace says so and downstream
-certification returns UNDECIDED rather than overclaiming.
+weight/Bloch cones, or a model-universal obstruction: the diagonal norm of
+the correlator matrix, or the rank or a row norm of its covariance.  Whenever
+a case cannot be proved infeasible and no model is found, the trace says so
+and downstream certification returns UNDECIDED rather than overclaiming.
 
 Three facts the search leans on (all exercised by the test suite):
 
-* With uniform Alice marginals, the correlator matrix of any d-class model
-  has rank at most d - 1: the class correlation vectors sum to zero, which
-  collapses one of the d dyads.
+* The covariance C - <A><B>^T of any d-class model, stochastic Alice
+  included, has rank at most d - 1: the weighted class deviations from the
+  mean sum to zero, which collapses one of the d dyads.
 * With orthonormal Bob directions, any model of any dimension satisfies
   sum_y C(y, y)^2 <= 1 (Cauchy-Schwarz over the hidden variable).
 * At the top dimension d = 2^n every model, stochastic Alice included,
@@ -499,6 +499,10 @@ def _case_labels(n: int, d: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
+class _Interior(Exception):
+    """Carries a refinement's trial point inside every cone out of SLSQP."""
+
+
 class _SearchContext:
     """Shared precomputation for one search call."""
 
@@ -516,9 +520,11 @@ class _SearchContext:
         self.tol = tol
         self.strategies = deterministic_strategies(self.n)
         self.C = correlator_matrix(box)
-        self.svals = np.linalg.svd(self.C, compute_uv=False)
-        self.uniform_alice = np.abs(box.alice_marginal() - 0.5).max() <= 1e-9
-        self.uniform_bob = np.abs(box.bob_marginal() - 0.5).max() <= 1e-9
+        alice, bob = box.alice_marginal(), box.bob_marginal()
+        self.cov = self.C - np.outer(alice[:, 0] - alice[:, 1], bob[:, 0] - bob[:, 1])
+        self.svals = np.linalg.svd(self.cov, compute_uv=False)
+        self.uniform_alice = np.abs(alice - 0.5).max() <= 1e-9
+        self.uniform_bob = np.abs(bob - 0.5).max() <= 1e-9
         self.orthonormal = bob_dirs.is_mub()
         self.diag_norm = float(np.sqrt((np.diag(self.C) ** 2).sum()))
         # Per-strategy coefficient blocks (columns: q_l, then s_l in R^3) so
@@ -538,34 +544,31 @@ class _SearchContext:
         self.blocks = dict(zip(self.strategies, blocks))
         self.rhs = np.concatenate([box.p.reshape(-1), [1.0]])
 
-    # -- model-universal obstructions ---------------------------------------
-
-    def rank_obstruction(self, d: int) -> bool:
-        """Uniform Alice marginals force rank(C) <= d - 1 for any d-class model."""
-        if not self.uniform_alice or d > self.n:
-            return False
-        return bool(self.svals[d - 1] > 16.0 * self.tol)
-
-    def norm_obstruction(self) -> bool:
-        """With orthonormal directions every model obeys sum_y C(y,y)^2 <= 1."""
-        return self.orthonormal and self.diag_norm > 1.0 + 8.0 * self.tol
-
-    def row_norm_obstruction(self, d: int) -> bool:
-        """At d <= 2 with uniform Alice marginals and orthonormal directions
-        every row of C has 2-norm <= 1: the two class correlation functions
-        are opposite, so each is bounded by min(Q_0, Q_1) <= 1/2, and the Bob
-        states differ by at most 2.  Non-orthogonal directions can stretch a
-        row beyond the Bloch-vector difference it projects."""
-        if not (self.orthonormal and self.uniform_alice) or d > 2:
-            return False
-        return float(np.linalg.norm(self.C, axis=1).max()) > 1.0 + 8.0 * self.tol
+    # -- model-universal obstruction -----------------------------------------
 
     def universal_reason(self, d: int) -> str | None:
-        if self.norm_obstruction():
+        """A reason no model of dimension at most d reproduces the box.
+
+        With orthonormal directions every model obeys sum_y C(y,y)^2 <= 1.
+        Any d-class model, stochastic Alice included, has covariance
+        Cov = C - <A><B>^T = sum_l w_l (E_l - E)(F_l - F)^T, with E_l and F_l
+        the class's Alice and Bob expectations and E, F their means.  The
+        weighted centred terms sum to zero, so rank(Cov) <= d - 1.  At d = 2,
+        Cov = w_0 w_1 (E_0 - E_1)(F_0 - F_1)^T; with orthonormal directions
+        |F_0 - F_1| <= 2, so every row has norm <= 1/4 * 2 * 2 = 1.  A box
+        within tol of the model's moves each Cov entry by at most
+        12 tol + 16 tol^2, so sigma_d(Cov) and every row norm by at most n
+        times that.  At d = 1 the covariance checks run only on uniform Alice
+        marginals, leaving the others to the product lane's reasons."""
+        if self.orthonormal and self.diag_norm > 1.0 + 8.0 * self.tol:
             return "diagonal_correlator_norm_exceeds_one"
-        if self.rank_obstruction(d):
+        if d == 1 and not self.uniform_alice:
+            return None
+        margin = self.n * (12.0 + 16.0 * self.tol) * self.tol
+        if d <= self.n and self.svals[d - 1] > margin:
             return "correlator_rank_exceeds_dimension"
-        if self.row_norm_obstruction(d):
+        rows = np.linalg.norm(self.cov, axis=1)
+        if d <= 2 and self.orthonormal and rows.max() > 1.0 + margin:
             return "correlator_row_norm_exceeds_one"
         return None
 
@@ -650,6 +653,8 @@ class _SearchContext:
 
         def margins(x):
             q, _, norms = split(x)
+            if (q - norms).min() > BLOCH_SLACK:
+                raise _Interior(x.copy())
             return x[k] + q - norms
 
         def margins_jac(x):
@@ -658,22 +663,26 @@ class _SearchContext:
             jac[:, :k] = null_q - np.einsum("li,lik->lk", s / norms[:, None], null_s)
             return jac
 
-        x0 = np.zeros(k + 1)
-        x0[k] = max(0.0, float(-margins(x0).min())) + 1e-6
         objective_grad = np.zeros(k + 1)
         objective_grad[k] = 1.0
         # A box on the cone boundary has its optimum at t = 0 and is
         # approached slowly: ftol, an absolute change in t, must lie far
-        # below BLOCH_SLACK, and a few hundred iterations may be needed.
-        result = self.optimize.minimize(
-            lambda x: x[k],
-            x0,
-            jac=lambda x: objective_grad,
-            constraints=[{"type": "ineq", "fun": margins, "jac": margins_jac}],
-            method="SLSQP",
-            options={"maxiter": 1000, "ftol": 1e-16},
-        )
-        z = z0 + null @ result.x[:k]
+        # below BLOCH_SLACK, and a few hundred iterations may be needed.  A
+        # model needs no margin, so the first point inside every cone ends it.
+        try:
+            x0 = np.zeros(k + 1)
+            x0[k] = max(0.0, float(-margins(x0).min())) + 1e-6
+            x = self.optimize.minimize(
+                lambda x: x[k],
+                x0,
+                jac=lambda x: objective_grad,
+                constraints=[{"type": "ineq", "fun": margins, "jac": margins_jac}],
+                method="SLSQP",
+                options={"maxiter": 1000, "ftol": 1e-16},
+            ).x
+        except _Interior as interior:
+            x = interior.args[0]
+        z = z0 + null @ x[:k]
         model = self._model_from_solution(assignment, z)
         keep = z[:d] > WEIGHT_SLACK
         if model is not None or keep.all() or not keep.any():

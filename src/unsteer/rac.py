@@ -8,6 +8,7 @@ discord/efficiency non-monotonicity witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,7 +95,8 @@ def rac_efficiency_bd(params: BellDiagonalParams, n: int) -> float:
     c = _canonical_head(params, n)
     if np.any(c == 0.0):
         return 0.5
-    total = float(np.sum(1.0 / c**2))
+    with np.errstate(divide="ignore", over="ignore"):  # an inf total is the 1/2 limit
+        total = float(np.sum(1.0 / c**2))
     return 0.5 * (1.0 + 1.0 / float(np.sqrt(total)))
 
 
@@ -115,7 +117,10 @@ def encoding_directions(params: BellDiagonalParams, n: int) -> np.ndarray:
             "encoding undefined when a relevant axis vanishes, canonical "
             f"{tuple(float(v) for v in c)}"
         )
-    inv = 1.0 / c
+    # Scaling by a power of two is exact, so tiny components invert without
+    # overflow and others give the same bits; a huge ratio's inverse is 0.
+    with np.errstate(over="ignore"):
+        inv = 1.0 / np.ldexp(c, -math.frexp(min(map(abs, c.tolist())))[1])
     scale = float(np.sqrt(np.sum(inv**2)))
     bits = np.array(deterministic_strategies(n))
     out = np.zeros((2**n, 3))

@@ -269,6 +269,15 @@ ODD_BOXES = (
     UNIFORM_BOX.replace("0.25", "NaN", 1),
     '{"n": 3, "p": [[[[1e300]]]]}',
 )
+# Canonical components small enough that 1/c or 1/c^2 overflows.
+TINY_TRIPLE_ARGV = tuple(
+    [command, *n, f"--c={triple}"]
+    for command, n, triples in (
+        ("rac", ["--n", "3"], ("1e-320,1e-320,-1e-320", "1e-200,1e-200,-1e-200", "0.5,1e-320,-1e-320")),
+        ("state", [], ("1e-160,1e-160,-1e-160", "1e-320,1e-320,-1e-320")),
+    )
+    for triple in triples
+)
 # Inclusive ends of the step ranges, light enough to run; sweep's MIN_STEP is not.
 BOUNDARY_ARGV = (
     ["sweep", "--n", "3", "--step=0.1"],
@@ -309,6 +318,18 @@ class TestArgvGrid:
             assert len(lines) > 1 and all(line.count(",") == 6 for line in lines)
         else:
             assert json.loads(out)["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv", TINY_TRIPLE_ARGV, ids=" ".join)
+    def test_tiny_components_report_without_warnings(self, argv):
+        """Physical triples with tiny or subnormal components get a report,
+        in an interpreter that turns every warning into an error."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "unsteer", *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == argv[0]
 
 
 class TestStateCommand:

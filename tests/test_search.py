@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from unsteer import (
     CLASSICAL_AT_DIMENSION,
@@ -28,7 +29,7 @@ from unsteer import (
     verify_lhv_lhs,
     white_noise_bb84,
 )
-from unsteer.decompose import _case_labels, _SearchContext
+from unsteer.decompose import _case_labels, _Interior, _SearchContext
 
 from oracles import (
     FROZEN,
@@ -51,6 +52,22 @@ def bd_box(c1, c2, c3, n=2):
 def product_state():
     """Alice's Bloch vector (0.6, 0.3, 0) times Bob's (0.2, 0.5, 0)."""
     return np.kron(state_from_bloch([0.6, 0.3, 0.0]), state_from_bloch([0.2, 0.5, 0.0]))
+
+
+def random_model_box(rng, k, dirs, alice):
+    """The box of a random k-class model, built by the loop oracle: Alice
+    answers deterministically, stochastically or uniformly; Bob's states are
+    random, pure or mixed."""
+    n = dirs.n
+    if alice == "deterministic":
+        first = rng.integers(0, 2, size=(k, n)).astype(float)
+    else:
+        first = rng.uniform(size=(k, n)) if alice == "stochastic" else np.full((k, n), 0.5)
+    tables = np.stack([first, 1.0 - first], axis=-1)
+    states = random_unit_vectors(rng, k)
+    if rng.uniform() < 0.5:
+        states *= rng.uniform(0.0, 1.0, size=(k, 1))
+    return model_box_loops(rng.dirichlet(np.ones(k)), tables, states, dirs.directions)
 
 
 def pr_box():
@@ -140,6 +157,52 @@ class TestDimensionTwoInfeasibility:
         assert ok, dev
 
 
+class TestCovarianceObstruction:
+    def test_silent_on_every_model_box(self):
+        """Falsification: the box of a random k-class model (k <= n), as
+        built or mixed toward a random top-dimension model's box until one
+        entry has moved by 0.999 tol, draws no universal reason at any
+        d >= k.  Some two-class models are extremal, with opposite answers,
+        equal weights and antipodal pure states in the directions' span, so
+        that a row of the covariance has norm exactly 1."""
+        rng = np.random.default_rng(103)
+        for i in range(240):
+            n = 2 + i % 2
+            k = int(rng.integers(1, n + 1))
+            if i % 4 < 2:
+                dirs = pauli_axes(n)
+            else:
+                dirs = MeasurementSet(np.linalg.qr(rng.normal(size=(3, 3)))[0][:n])
+            alice = ("deterministic", "stochastic", "uniform")[i % 3]
+            if k == 2 and i % 5 == 0:
+                answers = np.array([np.zeros(n), np.ones(n)])
+                tables = np.stack([answers, 1.0 - answers], axis=-1)
+                r = random_unit_vectors(rng, 1)[0] @ dirs.directions.T @ dirs.directions
+                states = np.array([r, -r]) / np.linalg.norm(r)
+                box = model_box_loops(np.full(2, 0.5), tables, states, dirs.directions)
+            else:
+                box = random_model_box(rng, k, dirs, alice)
+            other = random_model_box(rng, 2**n, dirs, "stochastic")
+            for tol in (1e-9, 1e-6, 1e-3):
+                for p in (box, box + 0.999 * tol / np.abs(other - box).max() * (other - box)):
+                    ctx = _SearchContext(Box(n, p), dirs, tol)
+                    for d in range(k, 2**n + 1):
+                        assert ctx.universal_reason(d) is None, (i, k, d, tol)
+
+    def test_mixed_marginals_superunsteerable(self):
+        """The mixed-marginal box that the product lane retires at d = 1 has
+        full-rank covariance, so no two-class model exists, yet a four-class
+        one does."""
+        mix = 0.5 * product_state() + 0.5 * bell_diagonal(BellDiagonalParams(0.4, 0.3, -0.2))
+        axes = pauli_axes(2)
+        box = box_from_state(mix, axes, axes)
+        cert = certify_quantumness(box, 2, d_A=2)
+        assert cert.verdict == SUPERUNSTEERABLE
+        assert {reason for _, reason in cert.trace} == {"correlator_rank_exceeds_dimension"}
+        ok, dev = verify_lhv_lhs(cert.model, box, 1e-9)
+        assert ok, dev
+
+
 class TestSearchMechanics:
     @pytest.mark.parametrize(
         "n, d", [(n, d) for n in (2, 3) for d in range(1, 2**n + 1)]
@@ -221,6 +284,30 @@ class TestTopDimension:
             assert model is not None, (i, k, reason)
             assert model.dimension <= 2**n
             assert verify_lhv_lhs(model, box, 1e-9)[0]
+
+    def test_refinement_stops_at_first_interior_point(self, monkeypatch):
+        """A two-class model's box whose all-distinct least-squares point
+        leaves the cones: SLSQP is left at its first point inside every cone,
+        and that point is the verified model returned."""
+        tables = np.array([[[0.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
+        states = np.array([[-0.2, 0.2, -0.6], [-0.6, 0.5, 0.5]])
+        box = LhvLhsModel(2, np.array([0.5, 0.5]), tables, states, pauli_axes(2)).reconstruct_box()
+        exits = []
+        minimize = scipy.optimize.minimize
+
+        def recording_minimize(*args, **kwargs):
+            try:
+                return minimize(*args, **kwargs)
+            except _Interior:
+                exits.append("interior")
+                raise
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording_minimize)
+        result = search_lhs_bounded(box, pauli_axes(2), 4)
+        assert exits == ["interior"]
+        assert isinstance(result, LhvLhsModel)
+        ok, dev = verify_lhv_lhs(result, box, 1e-9)
+        assert ok, dev
 
     def test_norm_obstruction_at_top_dimension(self):
         """sum_y C(y,y)^2 > 1 rules out every dimension, PR box included."""
