@@ -98,8 +98,8 @@ class Box:
             )
         totals = self.p.sum(axis=(2, 3))
         if not np.allclose(totals, 1.0, atol=ATOL_BOX):
-            bad = np.unravel_index(np.argmax(np.abs(totals - 1.0)), totals.shape)
-            raise InvalidBox(f"normalization violated at (x,y)={bad}: sum={totals[bad]!r}")
+            x, y = np.unravel_index(np.argmax(np.abs(totals - 1.0)), totals.shape)
+            raise InvalidBox(f"normalization violated at (x,y)=({x}, {y}): sum={totals[x, y]}")
         alice = self.p.sum(axis=3)  # p(a|x) as seen with each y
         if np.abs(alice - alice[:, :1, :]).max() > ATOL_BOX:
             raise InvalidBox("no-signaling violated: Alice marginal depends on y")

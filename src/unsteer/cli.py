@@ -34,6 +34,7 @@ from .boxes import (
 )
 from .decompose import (
     ATOL_CANONICAL,
+    DEFAULT_TOL,
     _check_tol,
     canonical_split_2set,
     canonical_split_3set,
@@ -75,7 +76,7 @@ class CommandSpec:
     box: str | None = None
     n: int = 2
     dim: int = 2
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     step: float = 0.01
     v: float | None = None
     out: str | None = None
@@ -93,14 +94,13 @@ class Report:
     command: str
     inputs: dict
     results: dict
-    version: str = __version__
 
     def to_json_dict(self) -> dict:
         return {
             "command": self.command,
             "inputs": self.inputs,
             "results": self.results,
-            "version": self.version,
+            "version": __version__,
         }
 
 
@@ -190,7 +190,7 @@ def _read_json(source: str, what: str):
         try:
             with open(text, encoding="utf-8") as fh:
                 body = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {origin}: {exc}") from exc
     try:
         return json.loads(body)
@@ -221,30 +221,6 @@ def _parse_state_json(source: str) -> BellDiagonalParams:
     if len(values) != 3:
         raise ParseError('state JSON must be an object whose "c" is a list of three numbers')
     return BellDiagonalParams(*values).validate()
-
-
-def parse_state_spec(source: str) -> BellDiagonalParams:
-    """Inline triple "c1,c2,c3", inline JSON, or a path to a JSON file.
-
-    A number, or text with a comma that is not inline JSON, is an inline
-    triple, so a malformed triple is never read as a file name.  The CLI
-    reads --c only as a triple and --state only as JSON.
-
-    Returns:
-        Validated parameters; the rejection message for an unphysical triple
-        names the negative eigenvalue.
-
-    Raises:
-        ParseError: unreadable input or malformed schema.
-        UnphysicalParams: valid syntax, invalid state.
-    """
-    text = source.strip()
-    try:
-        float(text)
-    except ValueError:
-        if text.startswith("{") or "," not in text:
-            return _parse_state_json(source)
-    return _parse_triple(source)
 
 
 # The reader of each input source, keyed by its CommandSpec field.
@@ -561,20 +537,23 @@ def main(argv: list[str] | None = None) -> int:
             payload = render_text(run(spec))
         else:
             payload = dumps_deterministic(run(spec).to_json_dict()) + "\n"
+        if not spec.out:
+            sys.stdout.write(payload)
+        else:
+            try:
+                directory = os.path.dirname(spec.out)
+                if directory:
+                    os.makedirs(directory, exist_ok=True)
+                with open(spec.out, "w", encoding="utf-8") as fh:
+                    fh.write(payload)
+            except OSError as exc:
+                raise ParseError(f"cannot write report file {spec.out!r}: {exc}") from exc
     except UnsteerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if spec.out:
-        directory = os.path.dirname(spec.out)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(spec.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
     elapsed = time.perf_counter() - started
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return 0

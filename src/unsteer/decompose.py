@@ -436,7 +436,7 @@ def verify_lhv_lhs(model: LhvLhsModel, target: Box, tol: float) -> tuple[bool, f
     if w.min() < -WEIGHT_SLACK:
         raise InvalidModel(f"negative weight {w.min():.3g}")
     if abs(w.sum() - 1.0) > 1e-9:
-        raise InvalidModel(f"weights sum to {w.sum()!r}, expected 1")
+        raise InvalidModel(f"weights sum to {w.sum()}, expected 1")
     tables = np.asarray(model.alice_tables, dtype=float)
     if tables.min() < -WEIGHT_SLACK:
         raise InvalidModel("negative response probability in an Alice table")
@@ -507,13 +507,6 @@ class _SearchContext:
     """Shared precomputation for one search call."""
 
     def __init__(self, box: Box, bob_dirs: MeasurementSet, tol: float):
-        # Every search loads scipy, not only one that reaches SLSQP
-        # refinement: whether an input refines is known only after solving,
-        # and a process whose memory and start-up hinged on that would vary
-        # from one input to the next.  Commands that never search load none.
-        from scipy import optimize
-
-        self.optimize = optimize
         self.box = box
         self.n = box.n
         self.dirs = bob_dirs
@@ -590,32 +583,28 @@ class _SearchContext:
         residual = float(np.abs(a_mat @ z - self.rhs).max())
         if residual > self.tol:
             return None, "reconstruction_residual"
-        model = self._model_from_solution(assignment, z)
-        if model is not None:
-            return model, ""
-        if rank == 4 * d:
-            # The solution is unique, so its cone violation is a proof.
-            q = z[:d]
-            s_norms = np.linalg.norm(z[d:].reshape(d, 3), axis=1)
-            if q.min() < -WEIGHT_SLACK:
-                return None, "negative_weight"
-            if (s_norms - q).max() > BLOCH_SLACK:
-                return None, "bloch_norm_exceeds_weight"
-            return None, "unresolved"
+        model, reason = self._model_from_solution(assignment, z)
+        if model is not None or rank == 4 * d:
+            # A unique solution's cone violation is a proof.
+            return model, reason
         refined = self._refine(assignment, a_mat, z)
         if refined is not None:
             return refined, ""
         return None, "unresolved"
 
-    def _model_from_solution(self, assignment, z) -> LhvLhsModel | None:
+    def _model_from_solution(self, assignment, z) -> tuple[LhvLhsModel | None, str]:
+        """(model, "") when every class of z lies in its cone and the model
+        verifies; else (None, "negative_weight"), (None,
+        "bloch_norm_exceeds_weight") or, failing verification, (None,
+        "unresolved")."""
         d = len(assignment)
         q = z[:d].copy()
         s = z[d:].reshape(d, 3)
         if q.min() < -WEIGHT_SLACK:
-            return None
+            return None, "negative_weight"
         norms = np.linalg.norm(s, axis=1)
         if np.any(norms > q + BLOCH_SLACK):
-            return None
+            return None, "bloch_norm_exceeds_weight"
         q = np.clip(q, 0.0, None)
         states = np.zeros((d, 3))
         for i in range(d):
@@ -624,7 +613,8 @@ class _SearchContext:
                 nr = float(np.linalg.norm(r))
                 states[i] = r / nr if nr > 1.0 else r
         tables = np.stack([strategy_table(strat) for strat in assignment])
-        return self._verified(LhvLhsModel(d, q / q.sum(), tables, states, self.dirs))
+        model = self._verified(LhvLhsModel(d, q / q.sum(), tables, states, self.dirs))
+        return (model, "") if model is not None else (None, "unresolved")
 
     def _verified(self, model: LhvLhsModel) -> LhvLhsModel | None:
         ok, _ = verify_lhv_lhs(model, self.box, self.tol)
@@ -635,6 +625,10 @@ class _SearchContext:
         subject to t + q_l - |s_l| >= 0 for every class (which implies
         q_l + t >= 0).  Can only ever *find* models, never prove their
         absence."""
+        # Imported here, as in rac.optimize_rac, so a search that never
+        # refines loads no scipy.
+        from scipy import optimize
+
         d = len(assignment)
         _, sv, vt = np.linalg.svd(a_mat)
         rank = int(np.sum(sv > 1e-12 * max(float(sv[0]), 1.0)))
@@ -672,7 +666,7 @@ class _SearchContext:
         try:
             x0 = np.zeros(k + 1)
             x0[k] = max(0.0, float(-margins(x0).min())) + 1e-6
-            x = self.optimize.minimize(
+            x = optimize.minimize(
                 lambda x: x[k],
                 x0,
                 jac=lambda x: objective_grad,
@@ -683,7 +677,7 @@ class _SearchContext:
         except _Interior as interior:
             x = interior.args[0]
         z = z0 + null @ x[:k]
-        model = self._model_from_solution(assignment, z)
+        model = self._model_from_solution(assignment, z)[0]
         keep = z[:d] > WEIGHT_SLACK
         if model is not None or keep.all() or not keep.any():
             return model

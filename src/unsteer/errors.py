@@ -53,4 +53,4 @@ class DegenerateAxis(UnsteerError):
 
 
 class ParseError(UnsteerError):
-    """Malformed inline value or JSON input file."""
+    """Malformed inline value, unreadable input file or unwritable output path."""

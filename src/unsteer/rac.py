@@ -60,7 +60,7 @@ class RacSpec:
         if not _is_unit(enc):
             norms = np.linalg.norm(enc, axis=1)
             raise NonUnitDirection(
-                f"encoding directions must be unit vectors, worst norm {norms.max()!r}"
+                f"encoding directions must be unit vectors, worst norm {norms.max()}"
             )
 
 

@@ -251,7 +251,7 @@ def _projectors(directions: np.ndarray) -> np.ndarray:
     if dirs.shape[-1:] != (3,):
         raise DimensionMismatch(f"directions must be 3-vectors, got shape {dirs.shape}")
     if not _is_unit(dirs):
-        raise NonUnitDirection(f"direction {dirs} has norm {np.linalg.norm(dirs, axis=-1)!r}")
+        raise NonUnitDirection(f"direction {dirs} has norm {np.linalg.norm(dirs, axis=-1)}")
     return (IDENTITY_2 + _OUTCOME_SIGNS * _n_sigma(dirs)[..., None, :, :]) / 2.0
 
 

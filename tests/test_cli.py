@@ -11,12 +11,12 @@ import pytest
 
 from unsteer import ParseError, __version__
 from unsteer.cli import (
+    _SOURCES,
     CommandSpec,
     build_parser,
     dumps_deterministic,
     format_float,
     main,
-    parse_state_spec,
     render_text,
     run,
 )
@@ -36,19 +36,19 @@ def run_cli(argv):
 class TestParsing:
     def test_inline_triple(self):
         """Comma-separated components parse into params."""
-        p = parse_state_spec("0.5,0.5,0")
+        p = _SOURCES["c"]("0.5,0.5,0")
         assert (p.c1, p.c2, p.c3) == (0.5, 0.5, 0.0)
 
     def test_inline_json(self):
         """Inline JSON objects with a c field parse."""
-        p = parse_state_spec('{"c": [0.5, 0.5, 0]}')
+        p = _SOURCES["state"]('{"c": [0.5, 0.5, 0]}')
         assert (p.c1, p.c2, p.c3) == (0.5, 0.5, 0.0)
 
     def test_file_input(self, tmp_path):
         """A JSON file with a c field parses."""
         f = tmp_path / "state.json"
         f.write_text('{"c": [0.6, 0.4, -0.2]}')
-        p = parse_state_spec(str(f))
+        p = _SOURCES["state"](str(f))
         assert (p.c1, p.c2, p.c3) == (0.6, 0.4, -0.2)
 
     def test_unphysical_rejected(self):
@@ -56,16 +56,16 @@ class TestParsing:
         from unsteer import UnphysicalParams
 
         with pytest.raises(UnphysicalParams):
-            parse_state_spec("0.9,0.9,0.9")
+            _SOURCES["c"]("0.9,0.9,0.9")
 
     def test_garbage_rejected(self):
         """Nonsense input raises a parse error."""
         from unsteer import ParseError
 
         with pytest.raises(ParseError):
-            parse_state_spec("not,a")
+            _SOURCES["c"]("not,a")
         with pytest.raises(ParseError):
-            parse_state_spec('{"c": "nope"}')
+            _SOURCES["state"]('{"c": "nope"}')
 
 
 class TestFormatting:
@@ -175,6 +175,27 @@ class TestExitCodes:
         code, _, err = run_cli(["box", "--box", "/nonexistent/box.json"])
         assert code == 2
         assert "cannot read box file" in err
+
+    @pytest.mark.parametrize("flag, what", [("--state", "state"), ("--box", "box")])
+    def test_non_utf8_file(self, tmp_path, flag, what):
+        """An input file that is not UTF-8 is a named read error, exit 2."""
+        target = tmp_path / "input.json"
+        target.write_bytes(b'{"c": [0.5, 0.5, 0]}\xff')
+        code, out, err = run_cli(["certify", flag, str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {what} file")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("where", ["directory", "under_file"])
+    def test_unwritable_out(self, tmp_path, where):
+        """An --out path that is a directory, or lies under a regular file,
+        is a named write error, exit 2, with nothing on stdout."""
+        (tmp_path / "file").write_text("")
+        target = tmp_path if where == "directory" else tmp_path / "file" / "report.json"
+        code, out, err = run_cli(["rac", "--c", "0.5,0.5,0", "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write report file")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize(
         "argv",

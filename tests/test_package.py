@@ -1,5 +1,6 @@
 """The package's public surface and what importing it loads."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -61,6 +62,27 @@ def test_one_settings_count_check(call):
     assert isinstance(info.value, unsteer.OutOfRange)
 
 
+def test_error_messages_print_plain_numbers():
+    """A message that quotes a computed number prints it as Python prints an
+    int or a float, never as a numpy repr such as np.float64(0.9)."""
+    model = unsteer.build_lhs_model_2set(unsteer.BellDiagonalParams(0.5, 0.5, 0.0))
+    light = dataclasses.replace(model, weights=0.9 * np.asarray(model.weights))
+    calls = [
+        lambda: unsteer.Box(2, np.full((2, 2, 2, 2), np.nan)).validate(),
+        lambda: unsteer.verify_lhv_lhs(light, model.reconstruct_box(), 1e-9),
+        lambda: unsteer.RacSpec(2, _PARAMS, np.ones((4, 3))),
+        lambda: unsteer.projector_matrix(unsteer.Projector(np.array([1.0, 1.0, 0.0]), 0)),
+    ]
+    messages = []
+    for call in calls:
+        with pytest.raises(unsteer.UnsteerError) as info:
+            call()
+        messages.append(str(info.value))
+    assert [m for m in messages if "np." in m] == []
+    assert "(x,y)=(0, 0): sum=nan" in messages[0]
+    assert "weights sum to 0.9" in messages[1]
+
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -90,26 +112,39 @@ def test_import_and_version_leave_scipy_unloaded():
 
 
 
-SCIPY_BY_SEARCH = """
-import sys
-import unsteer as u
-loaded = lambda: any(m.split(".")[0] == "scipy" for m in sys.modules)
-axes = u.pauli_axes(2)
-box = u.box_from_state(u.bell_diagonal(u.BellDiagonalParams(0.0, 0.0, 0.0)), axes, axes)
-u.sweep_separable_max(2, 0.1)
-u.simulate_rac(u.optimal_rac_spec(u.BellDiagonalParams(0.6, 0.5, -0.4), 3))
-print(loaded())
-model = u.search_lhs_bounded(box, axes, 1)
-print(type(model).__name__, loaded())
+_BD_BOX = """
+axes = u.pauli_axes({n})
+box = u.box_from_state(u.bell_diagonal(u.BellDiagonalParams(0.5, 0.4, -0.3)), axes, axes)
+print(u.certify_quantumness(box, {n}, d_A={d}).verdict)
 """
 
 
-def test_every_search_loads_scipy():
-    """A search loads scipy even when it never refines (here the d=1 product
-    lane answers at once), so a process's memory does not hinge on whether
-    some input happens to reach SLSQP; closed-form calls load none."""
-    out, _ = run_fresh(["-c", SCIPY_BY_SEARCH])
-    assert out.splitlines() == ["False", "LhvLhsModel True"]
+@pytest.mark.parametrize(
+    "calls, printed, loads_scipy",
+    [
+        (
+            "u.sweep_separable_max(2, 0.1)\n"
+            "p = u.BellDiagonalParams(0.6, 0.5, -0.4)\n"
+            "u.simulate_rac(u.optimal_rac_spec(p, 3))\n"
+            "u.schrodinger_strength_bd(p, 3), u.canonical_box_split(p, 2)",
+            [],
+            False,
+        ),
+        (_BD_BOX.format(n=2, d=2), ["SUPERUNSTEERABLE"], False),
+        (_BD_BOX.format(n=3, d=3), ["SUPERUNSTEERABLE"], False),
+        (_BD_BOX.format(n=2, d=3), ["UNDECIDED"], True),
+        ("u.optimize_rac(u.BellDiagonalParams(0.6, 0.5, -0.4), 3)", [], True),
+    ],
+    ids=["closed_forms", "certify_n2_d2", "certify_n3_d3", "certify_n2_d3", "optimize_rac"],
+)
+def test_scipy_loaded_where_a_solver_calls_it(calls, printed, loads_scipy):
+    """scipy is imported by the SLSQP refinement and by Nelder-Mead, and by
+    nothing else: closed forms and a Bell-diagonal certificate that never
+    refines load none, while the (2, 3) certificate, which reaches SLSQP,
+    and optimize_rac load it."""
+    script = f"import sys\nimport unsteer as u\n{calls}\nprint('scipy' in sys.modules)\n"
+    out, _ = run_fresh(["-c", script])
+    assert out.splitlines() == [*printed, str(loads_scipy)]
 
 
 FRESH_SOLVES = """
