@@ -260,6 +260,15 @@ def box_to_json_dict(box: Box) -> dict:
     return {"n": box.n, "p": box.p.tolist()}
 
 
+def _json_floats(value) -> np.ndarray:
+    """JSON numbers in nested lists as a float array; ValueError for any other
+    leaf, strings and booleans included, OverflowError past the float range."""
+    leaves = np.asarray(value, dtype=object)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in leaves.flat):
+        raise ValueError("it holds a value that is not a number")
+    return leaves.astype(float)
+
+
 def box_from_json_dict(data: dict) -> Box:
     """Parse and fully validate a box from its JSON form.
 
@@ -272,8 +281,8 @@ def box_from_json_dict(data: dict) -> Box:
     if n not in (2, 3):
         raise InvalidBox(f'"n" must be 2 or 3, got {n!r}')
     try:
-        p = np.asarray(data["p"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        p = _json_floats(data["p"])
+    except (ValueError, OverflowError) as exc:
         raise InvalidBox(f'"p" is not a numeric array: {exc}') from exc
     if p.shape != (n, n, 2, 2):
         raise InvalidBox(f'"p" has shape {p.shape}, expected {(n, n, 2, 2)}')

@@ -23,6 +23,7 @@ import numpy as np
 
 from .boxes import (
     Box,
+    _json_floats,
     box_from_json_dict,
     box_from_state,
     box_to_json_dict,
@@ -213,14 +214,13 @@ def _parse_state_json(source: str) -> BellDiagonalParams:
     """The validated params of inline state JSON or of a state JSON file,
     {"c": [c1, c2, c3]}."""
     data = _read_json(source, "state")
-    c = data.get("c") if isinstance(data, dict) else None
     try:
-        values = [float(v) for v in c] if isinstance(c, (list, tuple)) else []
-    except (TypeError, ValueError):
-        values = []
-    if len(values) != 3:
+        values = _json_floats(data.get("c") if isinstance(data, dict) else None)
+    except (ValueError, OverflowError):
+        values = None
+    if values is None or values.shape != (3,):
         raise ParseError('state JSON must be an object whose "c" is a list of three numbers')
-    return BellDiagonalParams(*values).validate()
+    return BellDiagonalParams(*values.tolist()).validate()
 
 
 # The reader of each input source, keyed by its CommandSpec field.

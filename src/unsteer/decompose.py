@@ -573,6 +573,15 @@ class _SearchContext:
         Returns (model, "") when feasible, else (None, reason); a reason of
         "unresolved" is not a sound rejection, the others are.
         """
+        model, reason, job = self._least_squares(assignment)
+        if job is not None:
+            model = self._refine(*job[1:])
+        return model, reason if model is None else ""
+
+    def _least_squares(self, assignment):
+        """solve_phase1 without the refinement, which it returns as a job
+        (worst cone violation max_l(|s_l| - q_l), assignment, a_mat, z) with
+        reason "unresolved"; (model, reason, None) when none is needed."""
         d = len(assignment)
         a_mat = np.concatenate(
             [self.blocks[s][:, :1] for s in assignment]
@@ -582,15 +591,13 @@ class _SearchContext:
         z, _, rank, _ = np.linalg.lstsq(a_mat, self.rhs, rcond=None)
         residual = float(np.abs(a_mat @ z - self.rhs).max())
         if residual > self.tol:
-            return None, "reconstruction_residual"
+            return None, "reconstruction_residual", None
         model, reason = self._model_from_solution(assignment, z)
         if model is not None or rank == 4 * d:
             # A unique solution's cone violation is a proof.
-            return model, reason
-        refined = self._refine(assignment, a_mat, z)
-        if refined is not None:
-            return refined, ""
-        return None, "unresolved"
+            return model, reason, None
+        violation = float((np.linalg.norm(z[d:].reshape(d, 3), axis=1) - z[:d]).max())
+        return None, "unresolved", (violation, assignment, a_mat, z)
 
     def _model_from_solution(self, assignment, z) -> tuple[LhvLhsModel | None, str]:
         """(model, "") when every class of z lies in its cone and the model
@@ -771,10 +778,13 @@ def search_lhs_bounded(
     correlator obstruction; at d = 1 the product-lane proof; or else, at
     d = 2^n, the answer of the all-distinct assignment, the only case solved
     there: a sound rejection, or "unresolved" when neither a model nor a
-    proof came out.  Below 2^n, phase-1 assignments are solved one by one
-    unless a blanket reason holds.  Every other case takes the blanket
-    reason or is reported unresolved.  The case labels depend only on
-    (n, d) and are built once per process.
+    proof came out.  Below 2^n, unless a blanket reason holds, phase 1 tries
+    every assignment's least-squares point in enumeration order, then refines
+    the non-unique ones that leave the cones, least worst cone violation
+    max_l(|s_l| - q_l) first, ties in enumeration order; a refinement only
+    finds models, so the trace is as if each were solved in turn.  Every
+    other case takes the blanket reason or is reported unresolved.  The case
+    labels depend only on (n, d) and are built once per process.
 
     Returns:
         A verified LhvLhsModel, or an InfeasibilityTrace listing every case
@@ -817,12 +827,18 @@ def search_lhs_bounded(
             return model
 
     reasons: list[str] = []
+    jobs = []
     if blanket is None:
         for assignment in itertools.combinations_with_replacement(ctx.strategies, d):
-            model, reason = ctx.solve_phase1(assignment)
+            model, reason, job = ctx._least_squares(assignment)
             if model is not None:
                 return model
             reasons.append(reason)
+            jobs.append(job)
+    for job in sorted(filter(None, jobs), key=lambda job: job[0]):
+        model = ctx._refine(*job[1:])
+        if model is not None:
+            return model
 
     labels = _case_labels(box.n, d)
     reasons += [blanket or "unresolved"] * (len(labels) - len(reasons))

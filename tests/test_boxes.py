@@ -338,3 +338,22 @@ class TestJsonRoundTrip:
             box_from_json_dict({"n": 2})
         with pytest.raises(InvalidBox):
             box_from_json_dict({"n": 2, "p": [[0.5, 0.5], [0.5, 0.5]]})
+
+    @pytest.mark.parametrize(
+        "leaf", ["0.25", True, None, [0.25], 10**400], ids=["str", "bool", "null", "list", "huge-int"]
+    )
+    def test_non_number_leaf_rejected(self, leaf):
+        """A leaf of "p" that is not a JSON number is named, not coerced:
+        float("0.25") and float(True) would read it as a probability."""
+        p = np.full((2, 2, 2, 2), 0.25).tolist()
+        p[0][0][0][0] = leaf
+        with pytest.raises(InvalidBox, match='"p" is not a numeric array'):
+            box_from_json_dict({"n": 2, "p": p})
+
+    def test_integer_and_array_leaves_accepted(self):
+        """JSON integers and a float array are numbers: the deterministic
+        box with a = b = 0, as 0/1 integers and as floats."""
+        p = np.zeros((2, 2, 2, 2))
+        p[..., 0, 0] = 1.0
+        for given in (p, p.astype(int).tolist()):
+            assert box_from_json_dict({"n": 2, "p": given}).p.tobytes() == p.tobytes()

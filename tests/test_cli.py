@@ -289,7 +289,35 @@ ODD_BOXES = (
     UNIFORM_BOX.replace('"n": 2', '"n": 2.0'),
     UNIFORM_BOX.replace("0.25", "NaN", 1),
     '{"n": 3, "p": [[[[1e300]]]]}',
+    UNIFORM_BOX.replace("0.25", '"0.25"', 1),
+    UNIFORM_BOX.replace("0.25", "true", 1),
 )
+# State JSON whose "c" holds strings or booleans where numbers belong.
+ODD_STATES = (
+    '{"c": ["0.5", true, "-0"]}',
+    '{"c": [0.5, 0.4, true]}',
+    '{"c": ["0.5", "0.4", "-0.3"]}',
+)
+# An integer beyond the float range, which float() cannot convert.
+HUGE_INT = "1" + "0" * 400
+# Every JSON input whose numbers are not all numbers, and the error it must name.
+NON_NUMBER_JSON = {
+    "state-strings": (["state", "--state", ODD_STATES[0]], '"c" is a list of three numbers'),
+    "rac-bool": (["rac", "--n", "3", "--state", ODD_STATES[1]], '"c" is a list of three numbers'),
+    "rac-huge-int": (
+        ["rac", "--state", '{"c": [%s, 0, 0]}' % HUGE_INT],
+        '"c" is a list of three numbers',
+    ),
+    "certify-string": (
+        ["certify", "--n", "2", "--dim", "2", "--box", ODD_BOXES[-2]],
+        '"p" is not a numeric array',
+    ),
+    "box-bool": (["box", "--box", ODD_BOXES[-1]], '"p" is not a numeric array'),
+    "box-huge-int": (
+        ["box", "--box", UNIFORM_BOX.replace("0.25", HUGE_INT, 1)],
+        '"p" is not a numeric array',
+    ),
+}
 # Canonical components small enough that 1/c or 1/c^2 overflows.
 TINY_TRIPLE_ARGV = tuple(
     [command, *n, f"--c={triple}"]
@@ -318,6 +346,11 @@ ARGV_GRID = (
         for command, n in (("state", []), ("certify", []), ("rac", ["--n", "3"]))
     ]
     + [[command, "--box", box] for box in ODD_BOXES for command in ("box", "certify")]
+    + [
+        [command, *n, "--state", state]
+        for state in ODD_STATES
+        for command, n in (("state", []), ("rac", ["--n", "3"]))
+    ]
     + list(BOUNDARY_ARGV)
 )
 
@@ -339,6 +372,15 @@ class TestArgvGrid:
             assert len(lines) > 1 and all(line.count(",") == 6 for line in lines)
         else:
             assert json.loads(out)["command"] == argv[0]
+
+    @pytest.mark.parametrize("argv, message", NON_NUMBER_JSON.values(), ids=NON_NUMBER_JSON)
+    def test_json_non_numbers_rejected(self, argv, message):
+        """JSON strings, booleans and integers beyond the float range where
+        a number belongs exit 2 with the input's named error; float() would
+        read "0.5" and true as numbers, and overflow on the integer."""
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert message in err and "internal error" not in err
 
     @pytest.mark.parametrize("argv", TINY_TRIPLE_ARGV, ids=" ".join)
     def test_tiny_components_report_without_warnings(self, argv):

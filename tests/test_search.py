@@ -1,5 +1,7 @@
 """Bounded-dimension model search and the four-way certificate."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -245,6 +247,125 @@ class TestSearchMechanics:
         assert [label for label, _ in trace.cases] == search_case_labels(2, 4)
         assert {reason for _, reason in trace.cases} == {forced}
         assert trace.sound == trace.exhaustive == (forced != "unresolved")
+
+
+def one_assignment_at_a_time(box, dirs, d, tol=1e-9):
+    """Reference search below 2^n: phase 1 as ctx.solve_phase1 on each
+    assignment in enumeration order, each refined before the next is tried,
+    then the same blanket, labels and flags as search_lhs_bounded."""
+    ctx = _SearchContext(box, dirs, tol)
+    blanket = ctx.universal_reason(d)
+    if blanket is None:
+        model = ctx.construct_two_class()
+        if model is not None:
+            return model
+    reasons = []
+    if blanket is None:
+        for assignment in itertools.combinations_with_replacement(ctx.strategies, d):
+            model, reason = ctx.solve_phase1(assignment)
+            if model is not None:
+                return model
+            reasons.append(reason)
+    labels = _case_labels(box.n, d)
+    reasons += [blanket or "unresolved"] * (len(labels) - len(reasons))
+    sound = "unresolved" not in reasons
+    return InfeasibilityTrace(d, tuple(zip(labels, reasons)), sound, sound and blanket is not None)
+
+
+def record_refinements(monkeypatch):
+    """Patch _SearchContext._refine to record each outermost call as
+    (worst cone violation of its least-squares point, assignment)."""
+    calls, depth = [], []
+    refine = _SearchContext._refine
+
+    def recording_refine(ctx, assignment, a_mat, z0):
+        if not depth:
+            d = len(assignment)
+            violation = (np.linalg.norm(z0[d:].reshape(d, 3), axis=1) - z0[:d]).max()
+            calls.append((float(violation), assignment))
+        depth.append(assignment)
+        try:
+            return refine(ctx, assignment, a_mat, z0)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(_SearchContext, "_refine", recording_refine)
+    return calls
+
+
+class TestTwoPassPhaseOne:
+    def test_matches_one_assignment_at_a_time(self):
+        """Below 2^n, k-class model boxes, product mixes and Bell-diagonal
+        boxes get the reference's verdict: both searches return a verified
+        model, or both return equal traces (labels, reasons, flags)."""
+        rng = np.random.default_rng(131)
+        outcomes = []
+        for i in range(36):
+            n = 2 + i % 2
+            d = int(rng.integers(2, 2**n))
+            axes = pauli_axes(n)
+            kind = i % 3
+            if kind == 0:
+                alice = ("deterministic", "stochastic")[i % 2]
+                p = random_model_box(rng, int(rng.integers(2, 2**n + 1)), axes, alice)
+            else:
+                rho = bell_diagonal(BellDiagonalParams(*random_physical_triple(rng)))
+                if kind == 1:
+                    a, b = random_unit_vectors(rng, 2) * rng.uniform(0.2, 0.9, size=(2, 1))
+                    w = rng.uniform(0.2, 0.8)
+                    rho = w * np.kron(state_from_bloch(a), state_from_bloch(b)) + (1 - w) * rho
+                p = box_from_state(rho, axes, axes).p
+            box = Box(n, p)
+            got = search_lhs_bounded(box, axes, d)
+            want = one_assignment_at_a_time(box, axes, d)
+            assert type(got) is type(want), (i, n, d)
+            if isinstance(got, LhvLhsModel):
+                assert verify_lhv_lhs(got, box, 1e-9)[0], (i, n, d)
+            else:
+                assert got == want, (i, n, d)
+            outcomes.append(type(got).__name__)
+        assert {"LhvLhsModel", "InfeasibilityTrace"} <= set(outcomes)
+
+    def test_plain_least_squares_model_needs_no_refinement(self, monkeypatch):
+        """Two-class deterministic-Alice model boxes at n = 2, d = 3: an
+        early assignment's least-squares point is not unique and leaves the
+        cones, a later one's is a model.  That later model is returned, and
+        no refinement runs."""
+        calls = record_refinements(monkeypatch)
+        rng = np.random.default_rng(2)
+        for i in range(12):
+            box = Box(2, random_model_box(rng, 2, pauli_axes(2), "deterministic"))
+            result = search_lhs_bounded(box, pauli_axes(2), 3)
+            assert calls == [], i
+            ctx = _SearchContext(box, pauli_axes(2), 1e-9)
+            first = next(
+                model
+                for model, _, _ in map(
+                    ctx._least_squares,
+                    itertools.combinations_with_replacement(ctx.strategies, 3),
+                )
+                if model is not None
+            )
+            assert result.to_json_dict() == first.to_json_dict(), i
+
+    def test_refinements_run_least_violated_first(self, monkeypatch):
+        """Four-class stochastic model boxes at n = 2, d = 3, several with no
+        three-class model: the refinements run in ascending worst cone
+        violation of their least-squares points, ties in enumeration
+        order, which is not the enumeration order itself."""
+        calls = record_refinements(monkeypatch)
+        order = list(itertools.combinations_with_replacement(deterministic_strategies(2), 3))
+        longest = 0
+        rng = np.random.default_rng(1)
+        for i in range(16):
+            calls.clear()
+            box = Box(2, random_model_box(rng, 4, pauli_axes(2), "stochastic"))
+            search_lhs_bounded(box, pauli_axes(2), 3)
+            keys = [(violation, order.index(assignment)) for violation, assignment in calls]
+            assert keys == sorted(keys), i
+            if sorted(keys, key=lambda key: key[1]) != keys:
+                longest = max(longest, len(keys))
+        assert longest >= 3
 
 
 class TestTopDimension:
