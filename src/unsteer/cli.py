@@ -4,8 +4,8 @@ Six subcommands (state, box, certify, rac, sweep, bb84) that parse state or
 box specs, dispatch the library analyses, and emit deterministic reports:
 identical inputs produce byte-identical output.  JSON uses sorted keys and
 17-significant-digit floats; CSV follows the sweep schema; text is a short
-human summary with 4-significant-digit floats.  Timing goes to stderr only,
-so it never perturbs report bytes.
+human summary with 4-significant-digit floats.  A successful command writes
+nothing to stderr.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
@@ -528,7 +527,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    started = time.perf_counter()
     try:
         spec = CommandSpec(**vars(args))
         if spec.fmt == "csv":
@@ -554,8 +552,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    elapsed = time.perf_counter() - started
-    print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return 0
 
 

@@ -182,6 +182,11 @@ def optimize_rac(params: BellDiagonalParams, n: int) -> RacResult:
     table.  The heuristic encoding, when defined, is one more start, so the
     result is never worse than it beyond 1e-9.
 
+    The closed form `rac_efficiency_bd` bounds every direction: for a unit m
+    with t = min_i m_i c_i > 0, |m_i| >= t/|c_i| gives 1 >= t^2 sum_i c_i^-2,
+    so (1 + t)/2 cannot exceed it (t <= 0 or a zero c_i is trivial).  The
+    search stops at the first start whose best value is within 1e-12 of it.
+
     Raises:
         UnphysicalParams, UnsupportedN: on malformed input.
     """
@@ -189,6 +194,7 @@ def optimize_rac(params: BellDiagonalParams, n: int) -> RacResult:
     from scipy import optimize
 
     c = _canonical_head(params, n)
+    bound = rac_efficiency_bd(params, n)
     rng = np.random.default_rng(0)
     starts = []
     try:
@@ -210,6 +216,8 @@ def optimize_rac(params: BellDiagonalParams, n: int) -> RacResult:
         if -res.fun > best_value:
             best_value = -res.fun
             best_direction = _unit_from_angles(*res.x)
+        if best_value >= bound - 1e-12:
+            break
     table = np.tile(_success_row(c, best_direction), (2**n, 1))
     return RacResult(float(table.min()), table)
 

@@ -605,11 +605,12 @@ class TestDeterminism:
             assert out == ""
             assert target.read_text() == stdout_text
 
-    def test_timing_goes_to_stderr(self):
-        """The elapsed line never contaminates the report stream."""
-        _, out, err = run_cli(["state", "--c", "0.5,0.5,0"])
-        assert "elapsed" not in out
-        assert "elapsed:" in err
+    def test_success_writes_nothing_to_stderr(self):
+        """A successful command prints no timing or other line to stderr."""
+        code, out, err = run_cli(["state", "--c", "0.5,0.5,0"])
+        assert code == 0
+        assert out
+        assert err == ""
 
     def test_subprocess_matches_inprocess(self):
         """The installed console script emits the same bytes as main()."""

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from unsteer import (
     BellDiagonalParams,
@@ -210,6 +211,37 @@ class TestOptimization:
         params = BellDiagonalParams(0.7, 0.2, -0.1)
         res = optimize_rac(params, 2)
         assert res.p_min <= rac_efficiency_bd(params, 2) + 1e-9
+
+    @pytest.mark.parametrize("triple, n", [((0.6, 0.5, -0.4), 3), ((0.5, 0.5, 0.0), 2)])
+    def test_stops_at_closed_form(self, monkeypatch, triple, n):
+        """The heuristic start reaches the closed-form bound, so the search
+        runs one Nelder-Mead minimization instead of 21."""
+        calls = []
+        minimize = scipy.optimize.minimize
+
+        def counting_minimize(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "minimize", counting_minimize)
+        res = optimize_rac(BellDiagonalParams(*triple), n)
+        assert calls == ["Nelder-Mead"]
+        assert abs(res.p_min - rac_efficiency_bd(BellDiagonalParams(*triple), n)) <= 1e-12
+
+    def test_meets_closed_form_on_random_triples(self):
+        """On seeded physical triples and degenerate edge triples the search
+        ends within 1e-12 below the closed form and never above it."""
+        rng = np.random.default_rng(14)
+        triples = [random_physical_triple(rng) for _ in range(200)]
+        triples += [(0.5, 0.0, 0.0), (0.0, 0.0, 0.0), (1e-320, 1e-320, -1e-320)]
+        for triple in triples:
+            params = BellDiagonalParams(*triple)
+            for n in (2, 3):
+                res = optimize_rac(params, n)
+                bound = rac_efficiency_bd(params, n)
+                assert bound - 1e-12 <= res.p_min <= bound + 1e-15, (triple, n)
+                assert res.table.shape == (2**n, n)
+                assert (res.table == res.table[0]).all()
 
 
 class TestSweep:
