@@ -97,7 +97,8 @@ class Box:
                 f"entry out of [0,1]: min {self.p.min():.3g}, max {self.p.max():.3g}"
             )
         totals = self.p.sum(axis=(2, 3))
-        if not np.allclose(totals, 1.0, atol=ATOL_BOX):
+        # Written as not <= so that a NaN fails; np.allclose would add rtol.
+        if not np.abs(totals - 1.0).max() <= ATOL_BOX:
             x, y = np.unravel_index(np.argmax(np.abs(totals - 1.0)), totals.shape)
             raise InvalidBox(f"normalization violated at (x,y)=({x}, {y}): sum={totals[x, y]}")
         alice = self.p.sum(axis=3)  # p(a|x) as seen with each y
@@ -129,7 +130,7 @@ class Assemblage:
         if np.abs(reduced - reduced[:1]).max() > ATOL_BOX:
             raise InvalidBox("assemblage signals: sum_a sigma(a|x) depends on x")
         traces = np.einsum("axii->x", sig).real
-        if not np.allclose(traces, 1.0, atol=ATOL_BOX):
+        if not np.abs(traces - 1.0).max() <= ATOL_BOX:
             raise InvalidBox(f"assemblage traces sum to {traces}, expected 1")
         negative = np.argwhere(np.linalg.eigvalsh(sig).min(axis=-1) < -1e-10)
         if negative.size:

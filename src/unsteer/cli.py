@@ -17,6 +17,7 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -128,21 +129,23 @@ def _to_plain(obj):
 
 def dumps_deterministic(obj) -> str:
     """Compact JSON with sorted keys and fixed float formatting, so equal
-    inputs serialize to equal bytes on every run and platform."""
+    inputs serialize to equal bytes on every run and platform.  Strings are
+    quoted as json.dumps(..., ensure_ascii=False) quotes them."""
     obj = _to_plain(obj)
+    if isinstance(obj, str):
+        return encode_basestring(obj)
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, dict):
         items = sorted(obj.items(), key=lambda kv: str(kv[0]))
         body = ",".join(
-            f"{json.dumps(str(k), ensure_ascii=False)}:{dumps_deterministic(v)}"
-            for k, v in items
+            f"{encode_basestring(str(k))}:{dumps_deterministic(v)}" for k, v in items
         )
         return "{" + body + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps_deterministic(v) for v in obj) + "]"
-    # None, bools, ints and strings; anything else is a TypeError.
-    return json.dumps(obj, ensure_ascii=False)
+        return "[" + ",".join(map(dumps_deterministic, obj)) + "]"
+    # None, bools and ints; anything else is a TypeError.
+    return json.dumps(obj)
 
 
 def _text_value(value) -> str:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +147,39 @@ class LhvLhsModel:
         }
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class CaseTrace(Sequence):
+    """The (label, reason) pairs of a failed search, stored as the search
+    finds them: `labels` is the search's case-label tuple, `head` the reasons
+    of its first cases (the phase-1 reasons, none under a blanket reason)
+    and `tail` the one reason of every later case.  It equals, and hashes
+    like, the tuple of its pairs."""
+
+    labels: tuple[str, ...]
+    head: tuple[str, ...]
+    tail: str
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __iter__(self):
+        rest = itertools.islice(self.labels, len(self.head), None)
+        return itertools.chain(
+            zip(self.labels, self.head), zip(rest, itertools.repeat(self.tail))
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, CaseTrace)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class InfeasibilityTrace:
     """Per-case rejection record of a failed bounded search.
@@ -157,7 +191,7 @@ class InfeasibilityTrace:
     """
 
     dimension: int
-    cases: tuple[tuple[str, str], ...]
+    cases: CaseTrace
     sound: bool
     exhaustive: bool
 
@@ -170,7 +204,7 @@ class Certificate:
     d_A: int
     functional: float
     model: LhvLhsModel | None
-    trace: tuple[tuple[str, str], ...]
+    trace: CaseTrace | tuple[()]
 
     def to_json_dict(self) -> dict:
         return {
@@ -784,7 +818,9 @@ def search_lhs_bounded(
     max_l(|s_l| - q_l) first, ties in enumeration order; a refinement only
     finds models, so the trace is as if each were solved in turn.  Every
     other case takes the blanket reason or is reported unresolved.  The case
-    labels depend only on (n, d) and are built once per process.
+    labels depend only on (n, d) and are built once per process; the trace
+    is a CaseTrace over them that stores the phase-1 reasons and the one
+    reason of every later case, never a pair per case.
 
     Returns:
         A verified LhvLhsModel, or an InfeasibilityTrace listing every case
@@ -840,11 +876,9 @@ def search_lhs_bounded(
         if model is not None:
             return model
 
-    labels = _case_labels(box.n, d)
-    reasons += [blanket or "unresolved"] * (len(labels) - len(reasons))
-    sound = "unresolved" not in reasons
-    exhaustive = sound and blanket is not None
-    return InfeasibilityTrace(d, tuple(zip(labels, reasons)), sound, exhaustive)
+    cases = CaseTrace(_case_labels(box.n, d), tuple(reasons), blanket or "unresolved")
+    sound = "unresolved" not in cases.head and cases.tail != "unresolved"
+    return InfeasibilityTrace(d, cases, sound, sound and blanket is not None)
 
 
 def certify_quantumness(

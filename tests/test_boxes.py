@@ -16,6 +16,7 @@ from unsteer import (
     box_from_json_dict,
     box_from_state,
     box_to_json_dict,
+    certify_quantumness,
     correlator,
     correlator_matrix,
     deterministic_strategies,
@@ -114,6 +115,16 @@ class TestBoxConstruction:
             Box(2, signaling).validate()
         with pytest.raises(InvalidBox, match="shape"):
             Box(2, np.zeros((2, 2, 2))).validate()
+
+    def test_normalization_checked_at_atol_box(self):
+        """Sums off by 4e-6 fail: the check is absolute at 1e-12, with no
+        relative slack."""
+        with pytest.raises(InvalidBox, match="normalization"):
+            Box(2, np.full((2, 2, 2, 2), 0.25 * (1 + 4e-6))).validate()
+        with pytest.raises(InvalidBox, match="normalization"):
+            certify_quantumness(Box(2, np.full((2, 2, 2, 2), 0.25 * (1 + 4e-6))), 2)
+        box = Box(2, np.full((2, 2, 2, 2), 0.25 * (1 + 1e-13)))
+        assert box.validate() is box
 
 
 class TestBB84Family:
@@ -271,6 +282,14 @@ class TestAssemblage:
             )
             want = born_assemblage(bell_diagonal_direct(*c), alice)
             assert np.abs(asm.sigma - want).max() <= 1e-13
+
+    def test_trace_checked_at_atol_box(self):
+        """Traces off by 4e-6 fail: the check is absolute at 1e-12."""
+        sigma = assemblage_from_state(
+            bell_diagonal(BellDiagonalParams(0.6, 0.4, -0.2)), pauli_axes(3)
+        ).sigma
+        with pytest.raises(InvalidBox, match="traces"):
+            Assemblage(sigma * (1 + 4e-6)).validate()
 
     def test_first_negative_block_named_a_major(self):
         """validate names the first non-PSD sigma(a|x) in a-major order, as

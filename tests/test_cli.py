@@ -80,6 +80,42 @@ class TestFormatting:
         doc = {"b": [1.0, 2.0], "a": {"y": True, "x": None}}
         assert dumps_deterministic(doc) == '{"a":{"x":null,"y":true},"b":[1,2]}'
 
+    def test_dumps_matches_the_recursive_json_dumps_serializer(self):
+        """Strings, keys included, are quoted byte for byte as the former
+        serializer quoted them with json.dumps(..., ensure_ascii=False):
+        non-ASCII kept, control characters, quotes and backslashes escaped."""
+
+        def reference(obj):
+            if isinstance(obj, np.ndarray):
+                obj = obj.tolist()
+            if isinstance(obj, float):
+                return format_float(obj)
+            if isinstance(obj, dict):
+                items = sorted(obj.items(), key=lambda kv: str(kv[0]))
+                body = ",".join(
+                    f"{json.dumps(str(k), ensure_ascii=False)}:{reference(v)}"
+                    for k, v in items
+                )
+                return "{" + body + "}"
+            if isinstance(obj, (list, tuple)):
+                return "[" + ",".join(reference(v) for v in obj) + "]"
+            return json.dumps(obj, ensure_ascii=False)
+
+        odd = ["", "ψ⊗φ", "日本", "\x00\x01\x1f\x7f", "tab\tnl\ncr\r", 'q"b\\s/',
+               "\u2028\u2029", "😀", "\ud800"]
+        doc = {
+            **dict(zip(odd, reversed(odd))),
+            "nested": [{"ü": [None, True, False, 0, -3, 1.5, "\x1b[0m"]}, (odd, {})],
+            "array": np.array([[0.25, -0.0], [1e-300, 3.0]]),
+            7: "int key",
+        }
+        assert dumps_deterministic(doc) == reference(doc)
+        assert json.loads(dumps_deterministic(doc))["ψ⊗φ"] == "😀"
+        for value in odd:
+            assert dumps_deterministic(value) == json.dumps(value, ensure_ascii=False)
+        with pytest.raises(TypeError):
+            dumps_deterministic(object())
+
     def test_render_text_flattens(self):
         """Dotted keys, 4 significant digits, long lists elided."""
         from unsteer.cli import Report

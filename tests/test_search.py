@@ -1,6 +1,7 @@
 """Bounded-dimension model search and the four-way certificate."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from unsteer import (
     WITNESSED_STEERABLE,
     BellDiagonalParams,
     Box,
+    Certificate,
     DimensionMismatch,
     InfeasibilityTrace,
     LhvLhsModel,
@@ -31,7 +33,7 @@ from unsteer import (
     verify_lhv_lhs,
     white_noise_bb84,
 )
-from unsteer.decompose import _case_labels, _Interior, _SearchContext
+from unsteer.decompose import CaseTrace, _case_labels, _Interior, _SearchContext
 
 from oracles import (
     FROZEN,
@@ -247,6 +249,66 @@ class TestSearchMechanics:
         assert [label for label, _ in trace.cases] == search_case_labels(2, 4)
         assert {reason for _, reason in trace.cases} == {forced}
         assert trace.sound == trace.exhaustive == (forced != "unresolved")
+
+
+def forced_traces(n, d):
+    """(labels, head, tail) over the (n, d) label table: a head of every
+    phase-1 reason, forced to cycle through three reasons, and no head."""
+    labels = _case_labels(n, d)
+    cycle = ("negative_weight", "reconstruction_residual", "bloch_norm_exceeds_weight")
+    head = tuple(cycle[i % 3] for i in range(math.comb(2**n + d - 1, d)))
+    return [(labels, head, "unresolved"), (labels, (), "correlator_rank_exceeds_dimension")]
+
+
+def pairs_of(labels, head, tail):
+    """The trace as the tuple of (label, reason) pairs it stands for."""
+    return tuple(zip(labels, head + (tail,) * (len(labels) - len(head))))
+
+
+class TestCaseTrace:
+    @pytest.mark.parametrize(
+        "n, d", [(n, d) for n in (2, 3) for d in range(1, 2**n + 1)]
+    )
+    def test_json_matches_the_pairs(self, n, d):
+        """to_json_dict expands the trace to one {"case", "violated"} dict
+        per pair, in order, with or without a head."""
+        for labels, head, tail in forced_traces(n, d):
+            cert = Certificate(UNDECIDED, d, 0.5, None, CaseTrace(labels, head, tail))
+            want = [{"case": c, "violated": v} for c, v in pairs_of(labels, head, tail)]
+            assert cert.to_json_dict()["trace"] == want
+
+    @pytest.mark.parametrize(
+        "n, d", [(n, d) for n in (2, 3) for d in range(1, 2**n + 1)]
+    )
+    def test_reads_as_the_tuple_of_pairs(self, n, d):
+        """Iteration, len, indices at both ends and around the head/tail
+        boundary, slices, equality and hash match the tuple of pairs."""
+        for labels, head, tail in forced_traces(n, d):
+            cases, pairs = CaseTrace(labels, head, tail), pairs_of(labels, head, tail)
+            assert list(cases) == list(pairs) and len(cases) == len(pairs)
+            k = len(head)
+            for i in {0, 1, k - 1, k, k + 1, len(pairs) - 1} & set(range(len(pairs))):
+                assert cases[i] == pairs[i] and cases[i - len(pairs)] == pairs[i]
+            assert cases[-1] == pairs[-1]
+            assert cases[:3] == pairs[:3] and cases[::-7] == pairs[::-7]
+            assert cases == pairs and pairs == cases and hash(cases) == hash(pairs)
+            assert cases != pairs[:-1] and cases != list(pairs)
+            for index in (len(pairs), -len(pairs) - 1):
+                with pytest.raises(IndexError):
+                    cases[index]
+
+    def test_search_holds_the_cached_labels(self):
+        """A returned trace holds the cached label table itself, fetched when
+        the trace is built: under a blanket reason with no head, and below 2^n
+        with every phase-1 reason in the head."""
+        blanket = search_lhs_bounded(bd_box(0.5, 0.4, -0.3), pauli_axes(2), 2)
+        assert blanket.cases.labels is _case_labels(2, 2)
+        assert blanket.cases.head == ()
+        assert blanket.cases.tail == "correlator_rank_exceeds_dimension"
+        phase1 = search_lhs_bounded(bd_box(0.5, 0.4, -0.3), pauli_axes(2), 3)
+        assert phase1.cases.labels is _case_labels(2, 3)
+        assert len(phase1.cases.head) == math.comb(4 + 3 - 1, 3)
+        assert phase1.cases.tail == "unresolved" and not phase1.sound
 
 
 def one_assignment_at_a_time(box, dirs, d, tol=1e-9):
