@@ -14,7 +14,7 @@ the correlator matrix, or the rank or a row norm of its covariance.  Whenever
 a case cannot be proved infeasible and no model is found, the trace says so
 and downstream certification returns UNDECIDED rather than overclaiming.
 
-Three facts the search leans on (all exercised by the test suite):
+Four facts the search leans on (all exercised by the test suite):
 
 * The covariance C - <A><B>^T of any d-class model, stochastic Alice
   included, has rank at most d - 1: the weighted class deviations from the
@@ -27,6 +27,15 @@ Three facts the search leans on (all exercised by the test suite):
   it is the only case solved there.  When its least-squares point leaves
   the cones, an SLSQP refinement searches the solution space; one it cannot
   finish leaves the top dimension unresolved, never rejected.
+* A slot assignment that repeats a deterministic Alice strategy has a model
+  exactly when its set of distinct strategies does, with no more classes.
+  Each class's variables (q_l, s_l) lie in the cone |s_l| <= q_l, which is
+  closed under addition: two classes with the same strategy merge into one
+  by adding them, and one class splits into two halves.  Both systems'
+  matrices have the same column space, so their least-squares residuals
+  agree too, and a unique distinct-set solution outside the cones rules out
+  the repeated assignment as well.  Phase 1 therefore solves each distinct
+  set once.
 """
 
 from __future__ import annotations
@@ -554,22 +563,30 @@ class _SearchContext:
         self.uniform_bob = np.abs(bob - 0.5).max() <= 1e-9
         self.orthonormal = bob_dirs.is_mub()
         self.diag_norm = float(np.sqrt((np.diag(self.C) ** 2).sum()))
-        # Per-strategy coefficient blocks (columns: q_l, then s_l in R^3) so
-        # that a case's system matrix is just a column concatenation.  Row
-        # (x, y, a, b) is 0.5 * (1, (-1)^b dir_y) where the strategy answers
-        # a on x, else zero; the last row makes the weights sum to 1.
+
+    # Built on first use: a search retired by a blanket reason reads neither.
+    @functools.cached_property
+    def blocks(self) -> dict:
+        """Per-strategy coefficient blocks (columns: q_l, then s_l in R^3) so
+        that a case's system matrix is just a column concatenation.  Row
+        (x, y, a, b) is 0.5 * (1, (-1)^b dir_y) where the strategy answers a
+        on x, else zero; the last row makes the weights sum to 1."""
         n = self.n
         entries = np.empty((n, 2, 4))  # (y, b, column)
         entries[..., 0] = 0.5
-        entries[..., 1:] = np.array([0.5, -0.5])[:, None] * bob_dirs.directions[:, None]
+        entries[..., 1:] = np.array([0.5, -0.5])[:, None] * self.dirs.directions[:, None]
         answers = np.array(self.strategies)[:, :, None] == np.arange(2)  # (s, x, a)
         blocks = np.zeros((len(self.strategies), 4 * n * n + 1, 4))
         blocks[:, :-1] = np.where(
             answers[:, :, None, :, None, None], entries[:, None, :, :], 0.0
         ).reshape(len(self.strategies), 4 * n * n, 4)
         blocks[:, -1, 0] = 1.0
-        self.blocks = dict(zip(self.strategies, blocks))
-        self.rhs = np.concatenate([box.p.reshape(-1), [1.0]])
+        return dict(zip(self.strategies, blocks))
+
+    @functools.cached_property
+    def rhs(self) -> np.ndarray:
+        """The box's entries, then the weights' sum 1."""
+        return np.concatenate([self.box.p.reshape(-1), [1.0]])
 
     # -- model-universal obstruction -----------------------------------------
 
@@ -801,10 +818,12 @@ def search_lhs_bounded(
 ) -> LhvLhsModel | InfeasibilityTrace:
     """Search for a hidden-state model of dimension at most d.
 
-    Phase 1 assigns deterministic Alice strategies to the d slots (repeats
-    allowed) and solves each assignment's linear system in the variables
-    q_l = p(l) and s_l = p(l) * (Bloch vector of Bob's hidden state);
-    feasibility additionally needs q_l >= 0 and |s_l| <= q_l.  Phase 2 covers
+    Phase 1 assigns deterministic Alice strategies to the d slots, repeats
+    allowed, and reduces each assignment to its set of distinct strategies.
+    It solves each distinct set's linear system once, in the variables
+    q_l = p(l) and s_l = p(l) * (Bloch vector of Bob's hidden state), and
+    gives its reason to every assignment that reduces to it; feasibility
+    additionally needs q_l >= 0 and |s_l| <= q_l.  Phase 2 covers
     stochastic Alice responses by grouping d' <= 2^n deterministic strategies
     into d classes sharing a Bob state each.
 
@@ -813,10 +832,10 @@ def search_lhs_bounded(
     d = 2^n, the answer of the all-distinct assignment, the only case solved
     there: a sound rejection, or "unresolved" when neither a model nor a
     proof came out.  Below 2^n, unless a blanket reason holds, phase 1 tries
-    every assignment's least-squares point in enumeration order, then refines
-    the non-unique ones that leave the cones, least worst cone violation
-    max_l(|s_l| - q_l) first, ties in enumeration order; a refinement only
-    finds models, so the trace is as if each were solved in turn.  Every
+    every distinct set's least-squares point in order of first appearance,
+    then refines the non-unique ones that leave the cones, least worst cone
+    violation max_l(|s_l| - q_l) first, ties in that order; a refinement only
+    finds models, so the trace is as if each set were solved in turn.  Every
     other case takes the blanket reason or is reported unresolved.  The case
     labels depend only on (n, d) and are built once per process; the trace
     is a CaseTrace over them that stores the phase-1 reasons and the one
@@ -863,14 +882,17 @@ def search_lhs_bounded(
             return model
 
     reasons: list[str] = []
+    solved: dict[tuple, str] = {}
     jobs = []
     if blanket is None:
         for assignment in itertools.combinations_with_replacement(ctx.strategies, d):
-            model, reason, job = ctx._least_squares(assignment)
-            if model is not None:
-                return model
-            reasons.append(reason)
-            jobs.append(job)
+            key = tuple(dict.fromkeys(assignment))
+            if key not in solved:
+                model, solved[key], job = ctx._least_squares(key)
+                if model is not None:
+                    return model
+                jobs.append(job)
+            reasons.append(solved[key])
     for job in sorted(filter(None, jobs), key=lambda job: job[0]):
         model = ctx._refine(*job[1:])
         if model is not None:

@@ -390,9 +390,10 @@ class TestTwoPassPhaseOne:
 
     def test_plain_least_squares_model_needs_no_refinement(self, monkeypatch):
         """Two-class deterministic-Alice model boxes at n = 2, d = 3: an
-        early assignment's least-squares point is not unique and leaves the
-        cones, a later one's is a model.  That later model is returned, and
-        no refinement runs."""
+        early strategy set's least-squares point is not unique and leaves the
+        cones, a later one's is a model.  That later model, the first over
+        the distinct strategy sets in order of first appearance, is returned,
+        and no refinement runs."""
         calls = record_refinements(monkeypatch)
         rng = np.random.default_rng(2)
         for i in range(12):
@@ -400,13 +401,12 @@ class TestTwoPassPhaseOne:
             result = search_lhs_bounded(box, pauli_axes(2), 3)
             assert calls == [], i
             ctx = _SearchContext(box, pauli_axes(2), 1e-9)
+            keys = dict.fromkeys(
+                tuple(dict.fromkeys(assignment))
+                for assignment in itertools.combinations_with_replacement(ctx.strategies, 3)
+            )
             first = next(
-                model
-                for model, _, _ in map(
-                    ctx._least_squares,
-                    itertools.combinations_with_replacement(ctx.strategies, 3),
-                )
-                if model is not None
+                model for model, _, _ in map(ctx._least_squares, keys) if model is not None
             )
             assert result.to_json_dict() == first.to_json_dict(), i
 
@@ -428,6 +428,68 @@ class TestTwoPassPhaseOne:
             if sorted(keys, key=lambda key: key[1]) != keys:
                 longest = max(longest, len(keys))
         assert longest >= 3
+
+
+class TestDistinctStrategySets:
+    def test_phase_one_solves_each_distinct_set(self, monkeypatch):
+        """An UNDECIDED box at n = 2, d_A = 3: phase 1 hands _least_squares
+        each nonempty strategy set of size <= 3 once, in order of first
+        appearance, and never a repeated strategy; later calls are the
+        refinements' zero-weight retries.  The trace keeps every label."""
+        solved = []
+        least_squares = _SearchContext._least_squares
+
+        def recording(ctx, assignment):
+            solved.append(assignment)
+            return least_squares(ctx, assignment)
+
+        monkeypatch.setattr(_SearchContext, "_least_squares", recording)
+        cert = certify_quantumness(bd_box(0.5, 0.4, -0.3), 2, d_A=3)
+        assert cert.verdict == UNDECIDED
+        strategies = deterministic_strategies(2)
+        subsets = [
+            subset
+            for size in (1, 2, 3)
+            for subset in itertools.combinations(strategies, size)
+        ]
+        assert all(len(set(assignment)) == len(assignment) for assignment in solved)
+        assert len(subsets) == 14 and set(solved) == set(subsets)
+        assert solved[:14] == list(dict.fromkeys(
+            tuple(dict.fromkeys(assignment))
+            for assignment in itertools.combinations_with_replacement(strategies, 3)
+        ))
+        assert len(cert.trace) == len(_case_labels(2, 3)) == 26
+        assert [label for label, _ in cert.trace] == list(_case_labels(2, 3))
+
+    def test_repeated_strategies_are_never_rejected(self):
+        """Falsification: the box of a random k-class model whose
+        deterministic Alice strategies repeat (k drawn with replacement from
+        fewer distinct ones; pure or mixed Bob states; Pauli or random
+        directions) gets a verified model of dimension at most k, and the
+        least-squares solve of its distinct strategy set proves nothing
+        against it."""
+        rng = np.random.default_rng(151)
+        proofs = {"reconstruction_residual", "negative_weight", "bloch_norm_exceeds_weight"}
+        for i in range(60):
+            n = 2 + i % 2
+            strategies = deterministic_strategies(n)
+            k = int(rng.integers(2, 2**n + 1))
+            pool = rng.choice(2**n, size=int(rng.integers(1, k)), replace=False)
+            drawn = rng.choice(pool, size=k)
+            tables = np.stack([strategy_table(strategies[j]) for j in drawn])
+            states = random_unit_vectors(rng, k)
+            if i % 4 >= 2:
+                states *= rng.uniform(0.0, 1.0, size=(k, 1))
+            dirs = pauli_axes(n) if i % 8 < 4 else MeasurementSet(random_unit_vectors(rng, n))
+            weights = rng.dirichlet(np.ones(k))
+            box = Box(n, model_box_loops(weights, tables, states, dirs.directions))
+            result = search_lhs_bounded(box, dirs, k)
+            assert isinstance(result, LhvLhsModel), (i, k)
+            assert result.dimension <= k
+            assert verify_lhv_lhs(result, box, 1e-9)[0], (i, k)
+            distinct = tuple(strategies[j] for j in sorted(set(drawn)))
+            ctx = _SearchContext(box, dirs, 1e-9)
+            assert ctx._least_squares(distinct)[1] not in proofs, (i, k, distinct)
 
 
 class TestTopDimension:
