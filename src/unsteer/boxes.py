@@ -224,12 +224,11 @@ def correlator(box: Box, x: int, y: int) -> float:
     """
     if not (0 <= x < box.n and 0 <= y < box.n):
         raise IndexOutOfRange(f"(x, y) = ({x}, {y}) outside n = {box.n}")
-    signs = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    return float((box.p[x, y] * signs).sum())
+    return float(correlator_matrix(box)[x, y])
 
 
 def correlator_matrix(box: Box) -> np.ndarray:
-    """All correlators as an (n, n) matrix, each summed as correlator sums it."""
+    """All correlators sum_ab (-1)^(a+b) p(ab|xy) as an (n, n) matrix."""
     return (box.p.reshape(box.n, box.n, 4) * _CORRELATOR_SIGNS).sum(axis=-1)
 
 

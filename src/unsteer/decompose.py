@@ -23,8 +23,8 @@ Four facts the search leans on (all exercised by the test suite):
   sum_y C(y, y)^2 <= 1 (Cauchy-Schwarz over the hidden variable).
 * At the top dimension d = 2^n every model, stochastic Alice included,
   coarse-grains onto deterministic Alice classes (Bloch vectors mix
-  convexly), so the all-distinct assignment alone decides feasibility, and
-  it is the only case solved there.  When its least-squares point leaves
+  convexly), so the all-distinct assignment alone decides feasibility:
+  phase 1 there runs over that one set.  When its least-squares point leaves
   the cones, an SLSQP refinement searches the solution space; one it cannot
   finish leaves the top dimension unresolved, never rejected.
 * A slot assignment that repeats a deterministic Alice strategy has a model
@@ -34,8 +34,8 @@ Four facts the search leans on (all exercised by the test suite):
   by adding them, and one class splits into two halves.  Both systems'
   matrices have the same column space, so their least-squares residuals
   agree too, and a unique distinct-set solution outside the cones rules out
-  the repeated assignment as well.  Phase 1 therefore solves each distinct
-  set once.
+  the repeated assignment as well.  A search therefore solves each distinct
+  set once, the refinements' retries on fewer classes included.
 """
 
 from __future__ import annotations
@@ -563,6 +563,9 @@ class _SearchContext:
         self.uniform_bob = np.abs(bob - 0.5).max() <= 1e-9
         self.orthonormal = bob_dirs.is_mub()
         self.diag_norm = float(np.sqrt((np.diag(self.C) ** 2).sum()))
+        # Each distinct strategy set's _least_squares answer, in order of
+        # first appearance: a search solves every set at most once.
+        self.solved: dict[tuple, tuple] = {}
 
     # Built on first use: a search retired by a blanket reason reads neither.
     @functools.cached_property
@@ -618,21 +621,18 @@ class _SearchContext:
 
     # -- per-case solving ----------------------------------------------------
 
-    def solve_phase1(self, assignment) -> tuple[LhvLhsModel | None, str]:
-        """Least-squares solve of one deterministic-Alice slot assignment.
-
-        Returns (model, "") when feasible, else (None, reason); a reason of
-        "unresolved" is not a sound rejection, the others are.
-        """
-        model, reason, job = self._least_squares(assignment)
-        if job is not None:
-            model = self._refine(*job[1:])
-        return model, reason if model is None else ""
+    def solve(self, key):
+        """_least_squares of a distinct strategy set, run on its first request
+        only and stored in the context's table."""
+        if key not in self.solved:
+            self.solved[key] = self._least_squares(key)
+        return self.solved[key]
 
     def _least_squares(self, assignment):
-        """solve_phase1 without the refinement, which it returns as a job
-        (worst cone violation max_l(|s_l| - q_l), assignment, a_mat, z) with
-        reason "unresolved"; (model, reason, None) when none is needed."""
+        """Least-squares solve of one deterministic-Alice slot assignment:
+        (model, "", None), (None, sound reason, None), or, when its point
+        needs a refinement, (None, "unresolved", job) with job = (worst cone
+        violation max_l(|s_l| - q_l), assignment, a_mat, z)."""
         d = len(assignment)
         a_mat = np.concatenate(
             [self.blocks[s][:, :1] for s in assignment]
@@ -742,7 +742,8 @@ class _SearchContext:
         # Classes left at zero weight sit at a cone apex, where the norm is
         # not differentiable and SLSQP stalls; solve once more without them.
         # A model with fewer classes is still a model of dimension at most d.
-        return self.solve_phase1(tuple(itertools.compress(assignment, keep)))[0]
+        model, _, job = self.solve(tuple(itertools.compress(assignment, keep)))
+        return model if job is None else self._refine(*job[1:])
 
     # -- constructive feasibility lanes --------------------------------------
 
@@ -819,21 +820,22 @@ def search_lhs_bounded(
     """Search for a hidden-state model of dimension at most d.
 
     Phase 1 assigns deterministic Alice strategies to the d slots, repeats
-    allowed, and reduces each assignment to its set of distinct strategies.
-    It solves each distinct set's linear system once, in the variables
-    q_l = p(l) and s_l = p(l) * (Bloch vector of Bob's hidden state), and
-    gives its reason to every assignment that reduces to it; feasibility
-    additionally needs q_l >= 0 and |s_l| <= q_l.  Phase 2 covers
-    stochastic Alice responses by grouping d' <= 2^n deterministic strategies
-    into d classes sharing a Bob state each.
+    allowed, and reduces each assignment to its set of distinct strategies;
+    at d = 2^n it runs over the all-distinct assignment alone.  Each distinct
+    set's linear system, in the variables q_l = p(l) and s_l = p(l) *
+    (Bloch vector of Bob's hidden state), is solved once per search, the
+    refinements' zero-weight retries included, and its reason goes to every
+    assignment that reduces to it; feasibility additionally needs q_l >= 0
+    and |s_l| <= q_l.  Phase 2 covers stochastic Alice responses by grouping
+    d' <= 2^n deterministic strategies into d classes sharing a Bob state
+    each.
 
     A blanket reason retires every case at once: a model-universal
     correlator obstruction; at d = 1 the product-lane proof; or else, at
-    d = 2^n, the answer of the all-distinct assignment, the only case solved
-    there: a sound rejection, or "unresolved" when neither a model nor a
-    proof came out.  Below 2^n, unless a blanket reason holds, phase 1 tries
-    every distinct set's least-squares point in order of first appearance,
-    then refines the non-unique ones that leave the cones, least worst cone
+    d = 2^n, phase 1's one answer: a sound rejection, or "unresolved" when
+    neither a model nor a proof came out.  Otherwise phase 1 tries every
+    distinct set's least-squares point in order of first appearance, then
+    refines the non-unique ones that leave the cones, least worst cone
     violation max_l(|s_l| - q_l) first, ties in that order; a refinement only
     finds models, so the trace is as if each set were solved in turn.  Every
     other case takes the blanket reason or is reported unresolved.  The case
@@ -874,29 +876,26 @@ def search_lhs_bounded(
         if model is not None:
             return model
 
-    # At the top dimension the all-distinct assignment is fully general: its
-    # answer, a model, a sound rejection or "unresolved", is every case's.
-    if blanket is None and d == d_top:
-        model, blanket = ctx.solve_phase1(ctx.strategies)
-        if model is not None:
-            return model
-
+    # At the top dimension the all-distinct assignment is fully general, so
+    # phase 1 runs over it alone and its answer is every case's.
     reasons: list[str] = []
-    solved: dict[tuple, str] = {}
-    jobs = []
     if blanket is None:
-        for assignment in itertools.combinations_with_replacement(ctx.strategies, d):
-            key = tuple(dict.fromkeys(assignment))
-            if key not in solved:
-                model, solved[key], job = ctx._least_squares(key)
-                if model is not None:
-                    return model
-                jobs.append(job)
-            reasons.append(solved[key])
-    for job in sorted(filter(None, jobs), key=lambda job: job[0]):
+        if d == d_top:
+            assignments = [ctx.strategies]
+        else:
+            assignments = itertools.combinations_with_replacement(ctx.strategies, d)
+        for assignment in assignments:
+            model, reason, _ = ctx.solve(tuple(dict.fromkeys(assignment)))
+            if model is not None:
+                return model
+            reasons.append(reason)
+    jobs = [job for _, _, job in ctx.solved.values() if job is not None]
+    for job in sorted(jobs, key=lambda job: job[0]):
         model = ctx._refine(*job[1:])
         if model is not None:
             return model
+    if d == d_top and reasons:
+        blanket, reasons = reasons[0], []
 
     cases = CaseTrace(_case_labels(box.n, d), tuple(reasons), blanket or "unresolved")
     sound = "unresolved" not in cases.head and cases.tail != "unresolved"

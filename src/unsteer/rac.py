@@ -92,12 +92,14 @@ def rac_efficiency_bd(params: BellDiagonalParams, n: int) -> float:
         UnphysicalParams: for unphysical triples.
         UnsupportedN: for n outside {2, 3}.
     """
-    c = _canonical_head(params, n)
-    if np.any(c == 0.0):
-        return 0.5
-    with np.errstate(divide="ignore", over="ignore"):  # an inf total is the 1/2 limit
-        total = float(np.sum(1.0 / c**2))
-    return 0.5 * (1.0 + 1.0 / float(np.sqrt(total)))
+    return float(_efficiency(_canonical_head(params, n)))
+
+
+def _efficiency(c: np.ndarray) -> np.ndarray:
+    """(1/2)(1 + 1/sqrt(sum_i c_i^-2)) over the last axis.  A zero or tiny
+    component makes the sum infinite, which gives the 1/2 limit."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return 0.5 * (1.0 + 1.0 / np.sqrt((c ** -2.0).sum(axis=-1)))
 
 
 def encoding_directions(params: BellDiagonalParams, n: int) -> np.ndarray:
@@ -276,17 +278,8 @@ def _evaluate_grid(triples: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """(strength, efficiency, discord) columns of canonical grid triples."""
     c1, c2, c3 = triples[:, 0], triples[:, 1], triples[:, 2]
     strength = c2 if n == 2 else np.abs(c3)
-    relevant = triples[:, :n]
-    degenerate = np.any(relevant == 0.0, axis=1)
-    with np.errstate(divide="ignore"):
-        inv_sq = np.where(relevant == 0.0, np.inf, relevant) ** -2.0
-    total = inv_sq.sum(axis=1)
-    with np.errstate(divide="ignore"):
-        efficiency = np.where(
-            degenerate, 0.5, 0.5 * (1.0 + 1.0 / np.sqrt(total))
-        )
     discord = (c2**2 + c3**2) / 2.0
-    return strength, efficiency, discord
+    return strength, _efficiency(triples[:, :n]), discord
 
 
 def _find_witness_pair(

@@ -1,9 +1,11 @@
 """The package's public surface and what importing it loads."""
 
+import ast
 import dataclasses
 import os
 import subprocess
 import sys
+from pathlib import Path
 from types import ModuleType
 
 import numpy as np
@@ -189,3 +191,44 @@ def test_lazy_scipy_gives_in_process_results():
         dumps_deterministic({"p_min": rac.p_min, "table": rac.table}),
         dumps_deterministic(cert.to_json_dict()),
     ]
+
+
+def readme_quick_start() -> str:
+    """The python block of the README's "Library quick start" section."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_gives_the_values_its_comments_state():
+    """The quick start runs as written, and each expression line gives the
+    value stated in its comment."""
+    source = readme_quick_start()
+    lines = source.splitlines()
+    namespace, shown = {}, []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Expr):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            shown.append((lines[node.lineno - 1].split("#", 1)[1].strip(), value))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    comments = [comment for comment, _ in shown]
+    assert comments == [
+        "0.4  (= |c2'|)",
+        "0.2  (= |c3'|)",
+        "0.0, entrywise",
+        "InfeasibilityTrace (sound, exhaustive)",
+        "LhvLhsModel (verified reconstruction)",
+        "'SUPERUNSTEERABLE'",
+        "0.6767... > 2/3",
+    ]
+    strength2, strength3, deviation, low, top, verdict, efficiency = (v for _, v in shown)
+    assert strength2 == pytest.approx(0.4, abs=1e-15)
+    assert strength3 == pytest.approx(0.2, abs=1e-15)
+    assert deviation == 0.0
+    assert isinstance(low, unsteer.InfeasibilityTrace) and low.dimension == 2
+    assert low.sound and low.exhaustive
+    assert isinstance(top, unsteer.LhvLhsModel) and top.dimension <= 4
+    assert unsteer.verify_lhv_lhs(top, namespace["box"], 1e-9)[0]
+    assert verdict == "SUPERUNSTEERABLE"
+    assert str(efficiency).startswith("0.6767") and efficiency > 2.0 / 3.0

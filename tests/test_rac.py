@@ -280,6 +280,15 @@ class TestSweep:
             )
             assert rep.discord[i] == pytest.approx(geometric_discord(p), abs=1e-14)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_efficiency_column_is_the_closed_form(self, n):
+        """The sweep and rac_efficiency_bd share one formula: every row's
+        efficiency equals the per-triple closed form bit for bit, the
+        degenerate rows' 1/2 included."""
+        rep = sweep_separable_max(n, 0.05)
+        for triple, efficiency in zip(rep.triples.tolist(), rep.efficiency.tolist()):
+            assert rac_efficiency_bd(BellDiagonalParams(*triple), n) == efficiency, triple
+
     def test_witness_pair_semantics(self):
         """The witness pair has strictly higher discord yet lower efficiency."""
         rep = sweep_separable_max(2, 0.05)

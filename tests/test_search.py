@@ -237,11 +237,11 @@ class TestSearchMechanics:
         case's."""
         solved = []
 
-        def solve_phase1(ctx, assignment):
+        def least_squares(ctx, assignment):
             solved.append(assignment)
-            return None, forced
+            return None, forced, None
 
-        monkeypatch.setattr(_SearchContext, "solve_phase1", solve_phase1)
+        monkeypatch.setattr(_SearchContext, "_least_squares", least_squares)
         trace = search_lhs_bounded(bd_box(0.5, 0.4, -0.3), pauli_axes(2), 4)
         top = deterministic_strategies(2)
         assert solved[0] == top and solved.count(top) == 1
@@ -312,7 +312,7 @@ class TestCaseTrace:
 
 
 def one_assignment_at_a_time(box, dirs, d, tol=1e-9):
-    """Reference search below 2^n: phase 1 as ctx.solve_phase1 on each
+    """Reference search below 2^n: phase 1 as ctx._least_squares on each
     assignment in enumeration order, each refined before the next is tried,
     then the same blanket, labels and flags as search_lhs_bounded."""
     ctx = _SearchContext(box, dirs, tol)
@@ -324,7 +324,9 @@ def one_assignment_at_a_time(box, dirs, d, tol=1e-9):
     reasons = []
     if blanket is None:
         for assignment in itertools.combinations_with_replacement(ctx.strategies, d):
-            model, reason = ctx.solve_phase1(assignment)
+            model, reason, job = ctx._least_squares(assignment)
+            if job is not None:
+                model = ctx._refine(*job[1:])
             if model is not None:
                 return model
             reasons.append(reason)
@@ -434,8 +436,9 @@ class TestDistinctStrategySets:
     def test_phase_one_solves_each_distinct_set(self, monkeypatch):
         """An UNDECIDED box at n = 2, d_A = 3: phase 1 hands _least_squares
         each nonempty strategy set of size <= 3 once, in order of first
-        appearance, and never a repeated strategy; later calls are the
-        refinements' zero-weight retries.  The trace keeps every label."""
+        appearance, and never a repeated strategy; the refinements'
+        zero-weight retries read the stored answers and solve nothing again.
+        The trace keeps every label."""
         solved = []
         least_squares = _SearchContext._least_squares
 
@@ -454,7 +457,7 @@ class TestDistinctStrategySets:
         ]
         assert all(len(set(assignment)) == len(assignment) for assignment in solved)
         assert len(subsets) == 14 and set(solved) == set(subsets)
-        assert solved[:14] == list(dict.fromkeys(
+        assert solved == list(dict.fromkeys(
             tuple(dict.fromkeys(assignment))
             for assignment in itertools.combinations_with_replacement(strategies, 3)
         ))
@@ -525,7 +528,9 @@ class TestTopDimension:
             weights = rng.dirichlet(np.ones(k))
             box = Box(n, model_box_loops(weights, tables, states, dirs.directions))
             ctx = _SearchContext(box, dirs, 1e-9)
-            model, reason = ctx.solve_phase1(ctx.strategies)
+            model, reason, job = ctx._least_squares(ctx.strategies)
+            if job is not None:
+                model = ctx._refine(*job[1:])
             assert model is not None, (i, k, reason)
             assert model.dimension <= 2**n
             assert verify_lhv_lhs(model, box, 1e-9)[0]
