@@ -14,7 +14,7 @@ the correlator matrix, or the rank or a row norm of its covariance.  Whenever
 a case cannot be proved infeasible and no model is found, the trace says so
 and downstream certification returns UNDECIDED rather than overclaiming.
 
-Four facts the search leans on (all exercised by the test suite):
+Five facts the search leans on (all exercised by the test suite):
 
 * The covariance C - <A><B>^T of any d-class model, stochastic Alice
   included, has rank at most d - 1: the weighted class deviations from the
@@ -36,6 +36,11 @@ Four facts the search leans on (all exercised by the test suite):
   agree too, and a unique distinct-set solution outside the cones rules out
   the repeated assignment as well.  A search therefore solves each distinct
   set once, the refinements' retries on fewer classes included.
+* A set's system matrix depends only on Bob's directions and the set, never
+  on the box, which only fills the right-hand side.  Each set's matrix is
+  therefore factored once per process: its pseudo-inverse and rank come from
+  one lstsq against the identity, under lstsq's own rank rule, and every
+  later solve is one matrix-vector product.
 """
 
 from __future__ import annotations
@@ -56,7 +61,6 @@ from .boxes import (
     deterministic_strategies,
     pauli_axes,
     steering_functional,
-    strategy_table,
     white_noise_bb84,
 )
 from .errors import (
@@ -542,6 +546,48 @@ def _case_labels(n: int, d: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
+@functools.lru_cache(maxsize=16)
+def _coefficient_blocks(directions: bytes, n: int) -> dict:
+    """Per-strategy coefficient blocks of the search's linear systems on the
+    n Bob directions given by their float64 bytes (columns: q_l, then s_l in
+    R^3), read-only, so that a set's system matrix is just a column
+    concatenation.  Row (x, y, a, b) is 0.5 * (1, (-1)^b dir_y) where the
+    strategy answers a on x, else zero; the last row makes the weights sum
+    to 1."""
+    dirs = np.frombuffer(directions).reshape(n, 3)
+    strategies = deterministic_strategies(n)
+    entries = np.empty((n, 2, 4))  # (y, b, column)
+    entries[..., 0] = 0.5
+    entries[..., 1:] = np.array([0.5, -0.5])[:, None] * dirs[:, None]
+    answers = np.array(strategies)[:, :, None] == np.arange(2)  # (s, x, a)
+    blocks = np.zeros((len(strategies), 4 * n * n + 1, 4))
+    blocks[:, :-1] = np.where(
+        answers[:, :, None, :, None, None], entries[:, None, :, :], 0.0
+    ).reshape(len(strategies), 4 * n * n, 4)
+    blocks[:, -1, 0] = 1.0
+    blocks.flags.writeable = False
+    return dict(zip(strategies, blocks))
+
+
+# Holds every nonempty strategy set of one n = 2 and one n = 3 direction set
+# (15 + 255 entries), so alternating certificates at both n never evict.
+@functools.lru_cache(maxsize=512)
+def _factored_system(directions: bytes, n: int, strategies: tuple):
+    """(a_mat, pinv, rank) of a distinct strategy set's system on the given
+    directions: the matrix, its pseudo-inverse and its rank, both from one
+    np.linalg.lstsq against the identity, so the rank is lstsq's own.  The
+    matrix depends on no box, so each set is factored once per process; both
+    arrays are read-only."""
+    blocks = _coefficient_blocks(directions, n)
+    a_mat = np.concatenate(
+        [blocks[s][:, :1] for s in strategies] + [blocks[s][:, 1:] for s in strategies],
+        axis=1,
+    )
+    pinv, _, rank, _ = np.linalg.lstsq(a_mat, np.eye(a_mat.shape[0]), rcond=None)
+    a_mat.flags.writeable = pinv.flags.writeable = False
+    return a_mat, pinv, int(rank)
+
+
 class _Interior(Exception):
     """Carries a refinement's trial point inside every cone out of SLSQP."""
 
@@ -553,6 +599,7 @@ class _SearchContext:
         self.box = box
         self.n = box.n
         self.dirs = bob_dirs
+        self.dir_bytes = bob_dirs.directions.tobytes()
         self.tol = tol
         self.strategies = deterministic_strategies(self.n)
         self.C = correlator_matrix(box)
@@ -567,25 +614,7 @@ class _SearchContext:
         # first appearance: a search solves every set at most once.
         self.solved: dict[tuple, tuple] = {}
 
-    # Built on first use: a search retired by a blanket reason reads neither.
-    @functools.cached_property
-    def blocks(self) -> dict:
-        """Per-strategy coefficient blocks (columns: q_l, then s_l in R^3) so
-        that a case's system matrix is just a column concatenation.  Row
-        (x, y, a, b) is 0.5 * (1, (-1)^b dir_y) where the strategy answers a
-        on x, else zero; the last row makes the weights sum to 1."""
-        n = self.n
-        entries = np.empty((n, 2, 4))  # (y, b, column)
-        entries[..., 0] = 0.5
-        entries[..., 1:] = np.array([0.5, -0.5])[:, None] * self.dirs.directions[:, None]
-        answers = np.array(self.strategies)[:, :, None] == np.arange(2)  # (s, x, a)
-        blocks = np.zeros((len(self.strategies), 4 * n * n + 1, 4))
-        blocks[:, :-1] = np.where(
-            answers[:, :, None, :, None, None], entries[:, None, :, :], 0.0
-        ).reshape(len(self.strategies), 4 * n * n, 4)
-        blocks[:, -1, 0] = 1.0
-        return dict(zip(self.strategies, blocks))
-
+    # Built on first use: a search retired by a blanket reason never reads it.
     @functools.cached_property
     def rhs(self) -> np.ndarray:
         """The box's entries, then the weights' sum 1."""
@@ -634,12 +663,8 @@ class _SearchContext:
         needs a refinement, (None, "unresolved", job) with job = (worst cone
         violation max_l(|s_l| - q_l), assignment, a_mat, z)."""
         d = len(assignment)
-        a_mat = np.concatenate(
-            [self.blocks[s][:, :1] for s in assignment]
-            + [self.blocks[s][:, 1:] for s in assignment],
-            axis=1,
-        )
-        z, _, rank, _ = np.linalg.lstsq(a_mat, self.rhs, rcond=None)
+        a_mat, pinv, rank = _factored_system(self.dir_bytes, self.n, assignment)
+        z = pinv @ self.rhs
         residual = float(np.abs(a_mat @ z - self.rhs).max())
         if residual > self.tol:
             return None, "reconstruction_residual", None
@@ -656,7 +681,7 @@ class _SearchContext:
         "bloch_norm_exceeds_weight") or, failing verification, (None,
         "unresolved")."""
         d = len(assignment)
-        q = z[:d].copy()
+        q = z[:d]
         s = z[d:].reshape(d, 3)
         if q.min() < -WEIGHT_SLACK:
             return None, "negative_weight"
@@ -664,13 +689,13 @@ class _SearchContext:
         if np.any(norms > q + BLOCH_SLACK):
             return None, "bloch_norm_exceeds_weight"
         q = np.clip(q, 0.0, None)
-        states = np.zeros((d, 3))
-        for i in range(d):
-            if q[i] > 1e-14:
-                r = s[i] / q[i]
-                nr = float(np.linalg.norm(r))
-                states[i] = r / nr if nr > 1.0 else r
-        tables = np.stack([strategy_table(strat) for strat in assignment])
+        # Class l's Bloch vector s_l / q_l, pulled back onto the unit sphere
+        # when longer; a class of weight 1e-14 or less keeps the zero vector.
+        # Each radius is a dot product, rounded as np.linalg.norm of one row.
+        states = np.divide(s, q[:, None], out=np.zeros((d, 3)), where=q[:, None] > 1e-14)
+        radii = np.sqrt(states[:, None, :] @ states[:, :, None])[:, 0]
+        np.divide(states, radii, out=states, where=radii > 1.0)
+        tables = (np.array(assignment)[:, :, None] == np.arange(2)).astype(float)
         model = self._verified(LhvLhsModel(d, q / q.sum(), tables, states, self.dirs))
         return (model, "") if model is not None else (None, "unresolved")
 
@@ -826,9 +851,11 @@ def search_lhs_bounded(
     (Bloch vector of Bob's hidden state), is solved once per search, the
     refinements' zero-weight retries included, and its reason goes to every
     assignment that reduces to it; feasibility additionally needs q_l >= 0
-    and |s_l| <= q_l.  Phase 2 covers stochastic Alice responses by grouping
-    d' <= 2^n deterministic strategies into d classes sharing a Bob state
-    each.
+    and |s_l| <= q_l.  The system's matrix depends only on the directions
+    and the set, so its pseudo-inverse is computed once per process and a
+    solve is one product with the box's entries.  Phase 2 covers stochastic
+    Alice responses by grouping d' <= 2^n deterministic strategies into d
+    classes sharing a Bob state each.
 
     A blanket reason retires every case at once: a model-universal
     correlator obstruction; at d = 1 the product-lane proof; or else, at

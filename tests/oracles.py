@@ -196,6 +196,39 @@ def coefficient_blocks_loops(strategies, bob_dirs):
     return blocks
 
 
+def least_squares_lstsq(p, bob_dirs, blocks, assignment, tol):
+    """The search's answer for one distinct strategy set from one direct
+    np.linalg.lstsq of its system, built from `blocks`, against the box p:
+    (reason, rank, z).  The reason is "" for a point in every cone whose
+    model reconstructs p within tol (summed with loops), a residual or cone
+    proof for a unique solution, and "unresolved" otherwise."""
+    d = len(assignment)
+    a_mat = np.concatenate(
+        [blocks[s][:, :1] for s in assignment] + [blocks[s][:, 1:] for s in assignment],
+        axis=1,
+    )
+    rhs = np.append(np.asarray(p).reshape(-1), 1.0)
+    z, _, rank, _ = np.linalg.lstsq(a_mat, rhs, rcond=None)
+    if np.abs(a_mat @ z - rhs).max() > tol:
+        return "reconstruction_residual", rank, z
+    q, s = z[:d], z[d:].reshape(d, 3)
+    norms = np.sqrt((s * s).sum(axis=1))
+    if q.min() < -1e-10:
+        reason = "negative_weight"
+    elif (norms > q + 1e-10).any():
+        reason = "bloch_norm_exceeds_weight"
+    else:
+        q = np.clip(q, 0.0, None)
+        states = np.zeros((d, 3))
+        for l in range(d):
+            if q[l] > 1e-14:
+                states[l] = s[l] / q[l] / max(1.0, norms[l] / q[l])
+        tables = np.array([[[1.0 - a, float(a)] for a in strat] for strat in assignment])
+        box = model_box_loops(q / q.sum(), tables, states, bob_dirs)
+        return ("" if np.abs(box - p).max() <= tol else "unresolved"), rank, z
+    return (reason if rank == 4 * d else "unresolved"), rank, z
+
+
 def random_physical_triple(rng):
     """Rejection-sample a triple with all four Bell eigenvalues >= 0."""
     while True:

@@ -33,11 +33,19 @@ from unsteer import (
     verify_lhv_lhs,
     white_noise_bb84,
 )
-from unsteer.decompose import CaseTrace, _case_labels, _Interior, _SearchContext
+from unsteer.decompose import (
+    CaseTrace,
+    _case_labels,
+    _coefficient_blocks,
+    _factored_system,
+    _Interior,
+    _SearchContext,
+)
 
 from oracles import (
     FROZEN,
     coefficient_blocks_loops,
+    least_squares_lstsq,
     model_box_loops,
     random_physical_triple,
     random_unit_vectors,
@@ -222,11 +230,11 @@ class TestSearchMechanics:
         rng = np.random.default_rng(79 + n)
         for _ in range(5):
             dirs = MeasurementSet(random_unit_vectors(rng, n))
-            ctx = _SearchContext(bd_box(0.3, 0.2, -0.1, n=n), dirs, 1e-9)
+            blocks = _coefficient_blocks(dirs.directions.tobytes(), n)
             want = coefficient_blocks_loops(deterministic_strategies(n), dirs.directions)
-            assert list(ctx.blocks) == list(want)
+            assert list(blocks) == list(want)
             for strat, block in want.items():
-                assert ctx.blocks[strat].tobytes() == block.tobytes()
+                assert blocks[strat].tobytes() == block.tobytes()
 
     @pytest.mark.parametrize(
         "forced, calls", [("unresolved", 1), ("negative_weight", 1)]
@@ -249,6 +257,111 @@ class TestSearchMechanics:
         assert [label for label, _ in trace.cases] == search_case_labels(2, 4)
         assert {reason for _, reason in trace.cases} == {forced}
         assert trace.sound == trace.exhaustive == (forced != "unresolved")
+
+
+class TestFactoredSystems:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_least_squares_matches_direct_lstsq(self, n):
+        """For Pauli and random directions and every nonempty strategy set,
+        _least_squares on Bell-diagonal, mixed and k-class model boxes gives
+        the reason and rank of a direct lstsq against the box, and its
+        pseudo-inverse point lies within 1e-12 of lstsq's."""
+        rng = np.random.default_rng(211 + n)
+        strategies = deterministic_strategies(n)
+        sets = [
+            subset
+            for size in range(1, 2**n + 1)
+            for subset in itertools.combinations(strategies, size)
+        ]
+        seen = set()
+        for dirs in (pauli_axes(n), MeasurementSet(random_unit_vectors(rng, n))):
+            blocks = coefficient_blocks_loops(strategies, dirs.directions)
+            rho = bell_diagonal(BellDiagonalParams(*random_physical_triple(rng)))
+            a, b = random_unit_vectors(rng, 2) * rng.uniform(0.2, 0.9, size=(2, 1))
+            mixed = 0.5 * np.kron(state_from_bloch(a), state_from_bloch(b)) + 0.5 * rho
+            boxes = [
+                box_from_state(rho, pauli_axes(n), dirs).p,
+                box_from_state(mixed, pauli_axes(n), dirs).p,
+                random_model_box(rng, 2 ** (n - 1), dirs, "deterministic"),
+            ]
+            for p in boxes:
+                ctx = _SearchContext(Box(n, p), dirs, 1e-9)
+                for key in sets:
+                    _, reason, job = ctx._least_squares(key)
+                    a_mat, pinv, rank = _factored_system(ctx.dir_bytes, n, key)
+                    z = pinv @ ctx.rhs
+                    want, want_rank, want_z = least_squares_lstsq(
+                        p, dirs.directions, blocks, key, 1e-9
+                    )
+                    assert (reason, rank) == (want, want_rank), key
+                    assert np.abs(z - want_z).max() <= 1e-12, key
+                    if job is not None:
+                        assert job[2] is a_mat and np.array_equal(job[3], z)
+                    seen.add(reason)
+        assert {"", "reconstruction_residual", "unresolved"} <= seen
+
+    def test_cached_arrays_are_read_only(self):
+        """The cached blocks, system matrix and pseudo-inverse refuse writes."""
+        directions = pauli_axes(2).directions.tobytes()
+        key = deterministic_strategies(2)[:2]
+        a_mat, pinv, _ = _factored_system(directions, 2, key)
+        for array in (a_mat, pinv, _coefficient_blocks(directions, 2)[key[0]]):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_interleaved_directions_match_a_cleared_cache(self):
+        """Searches alternating between Pauli and random directions, at every
+        d, give exactly the results each one gives on an emptied cache."""
+        rng = np.random.default_rng(223)
+        runs = []
+        for n in (2, 3):
+            dir_sets = (pauli_axes(n), MeasurementSet(random_unit_vectors(rng, n)))
+            boxes = [
+                [Box(n, random_model_box(rng, 3, dirs, "deterministic")) for dirs in dir_sets],
+                [Box(n, box_from_state(
+                    bell_diagonal(BellDiagonalParams(0.5, 0.4, -0.3)), pauli_axes(n), dirs
+                ).p) for dirs in dir_sets],
+            ]
+            for d in (2, 3, 2**n):
+                for pair in boxes:
+                    runs += [(box, dirs, d) for box, dirs in zip(pair, dir_sets)]
+
+        def outcome(result):
+            if isinstance(result, LhvLhsModel):
+                return result.to_json_dict()
+            return result.cases, result.sound, result.exhaustive
+
+        interleaved = [outcome(search_lhs_bounded(*run)) for run in runs]
+        fresh = []
+        for run in runs:
+            _factored_system.cache_clear()
+            _coefficient_blocks.cache_clear()
+            fresh.append(outcome(search_lhs_bounded(*run)))
+        assert interleaved == fresh
+        assert {type(result) for result in fresh} == {dict, tuple}
+
+    def test_second_certificate_factors_no_set_again(self, monkeypatch):
+        """A second certificate at the same (n, d_A), on another box, calls
+        lstsq on no system matrix: every strategy set it solves was factored
+        by the first."""
+        rows = 4 * 2 * 2 + 1
+        calls = []
+        lstsq = np.linalg.lstsq
+
+        def counting_lstsq(a, *args, **kwargs):
+            if a.shape[0] == rows:
+                calls.append(a.tobytes())
+            return lstsq(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        _factored_system.cache_clear()
+        first = certify_quantumness(bd_box(0.5, 0.4, -0.3), 2, d_A=3)
+        factored = set(calls)
+        calls.clear()
+        second = certify_quantumness(bd_box(0.45, 0.35, -0.25), 2, d_A=3)
+        assert first.verdict == second.verdict == UNDECIDED
+        assert len(factored) == 14
+        assert calls == []
 
 
 def forced_traces(n, d):
