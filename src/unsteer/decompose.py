@@ -34,13 +34,13 @@ Five facts the search leans on (all exercised by the test suite):
   by adding them, and one class splits into two halves.  Both systems'
   matrices have the same column space, so their least-squares residuals
   agree too, and a unique distinct-set solution outside the cones rules out
-  the repeated assignment as well.  A search therefore solves each distinct
-  set once, the refinements' retries on fewer classes included.
+  the repeated assignment as well.  Phase 1 therefore solves each distinct
+  set once, and a refinement retries on its subset's set, never a repeat.
 * A set's system matrix depends only on Bob's directions and the set, never
-  on the box, which only fills the right-hand side.  Each set's matrix is
-  therefore factored once per process: its pseudo-inverse and rank come from
-  one lstsq against the identity, under lstsq's own rank rule, and every
-  later solve is one matrix-vector product.
+  on the box.  So each is factored once per process (one lstsq against the
+  identity, under lstsq's own rank rule) into a read-only table stacked by
+  set size, and phase 1 is one batched solve: a product per size for the
+  points, one for the residuals, and the cone tests over all sets at once.
 """
 
 from __future__ import annotations
@@ -569,23 +569,44 @@ def _coefficient_blocks(directions: bytes, n: int) -> dict:
     return dict(zip(strategies, blocks))
 
 
-# Holds every nonempty strategy set of one n = 2 and one n = 3 direction set
-# (15 + 255 entries), so alternating certificates at both n never evict.
-@functools.lru_cache(maxsize=512)
-def _factored_system(directions: bytes, n: int, strategies: tuple):
-    """(a_mat, pinv, rank) of a distinct strategy set's system on the given
-    directions: the matrix, its pseudo-inverse and its rank, both from one
-    np.linalg.lstsq against the identity, so the rank is lstsq's own.  The
-    matrix depends on no box, so each set is factored once per process; both
-    arrays are read-only."""
+@functools.lru_cache(maxsize=12)  # every size of one n = 2 and one n = 3 direction set
+def _set_group(directions: bytes, n: int, k: int):
+    """(sets, a_stack, pinv_stack, ranks) of every k-strategy set's system on
+    the given directions, in itertools.combinations order, stacked, read-only.
+    Each pseudo-inverse and rank is the set's own lstsq against the identity.
+    No matrix depends on the box: a size is factored once, when first needed."""
     blocks = _coefficient_blocks(directions, n)
-    a_mat = np.concatenate(
-        [blocks[s][:, :1] for s in strategies] + [blocks[s][:, 1:] for s in strategies],
-        axis=1,
-    )
-    pinv, _, rank, _ = np.linalg.lstsq(a_mat, np.eye(a_mat.shape[0]), rcond=None)
-    a_mat.flags.writeable = pinv.flags.writeable = False
-    return a_mat, pinv, int(rank)
+    sets = tuple(itertools.combinations(deterministic_strategies(n), k))
+    a_stack = np.stack([
+        np.hstack([blocks[s][:, :1] for s in key] + [blocks[s][:, 1:] for s in key]) for key in sets
+    ])
+    pinvs, _, ranks, _ = zip(*(np.linalg.lstsq(a, np.eye(len(a)), rcond=None) for a in a_stack))
+    pinv_stack, ranks = np.stack(pinvs), np.array(ranks)
+    a_stack.flags.writeable = pinv_stack.flags.writeable = ranks.flags.writeable = False
+    return sets, a_stack, pinv_stack, ranks
+
+
+@functools.lru_cache(maxsize=None)
+def _phase1_sets(n: int, d: int):
+    """(sizes, set_of, order, locate) of phase 1 at (n, d): the sizes whose
+    _set_group sets, concatenated, it solves (the all-distinct set alone at
+    d = 2^n); each assignment's set of distinct strategies as an index among
+    them; the indices in order of first appearance; each (group, row, set)."""
+    strategies, top = deterministic_strategies(n), d == 2**n
+    sizes = (d,) if top else tuple(range(1, d + 1))
+    locate = tuple((g, row, key) for g, k in enumerate(sizes)
+                   for row, key in enumerate(itertools.combinations(strategies, k)))
+    index = {key: i for i, (*_, key) in enumerate(locate)}
+    assignments = [strategies] if top else itertools.combinations_with_replacement(strategies, d)
+    set_of = np.array([index[tuple(dict.fromkeys(a))] for a in assignments])
+    order = np.array(list(dict.fromkeys(set_of.tolist())))
+    set_of.flags.writeable = order.flags.writeable = False
+    return sizes, set_of, order, locate
+
+
+# Phase-1 reasons by code, in the precedence of their tests; 4 is inside the cones.
+_REASONS = np.array(["reconstruction_residual", "negative_weight", "bloch_norm_exceeds_weight",
+                     "unresolved", ""], dtype=object)
 
 
 class _Interior(Exception):
@@ -593,7 +614,7 @@ class _Interior(Exception):
 
 
 class _SearchContext:
-    """Shared precomputation for one search call."""
+    """Shared precomputation for one box, used by both of a certificate's searches."""
 
     def __init__(self, box: Box, bob_dirs: MeasurementSet, tol: float):
         self.box = box
@@ -601,7 +622,6 @@ class _SearchContext:
         self.dirs = bob_dirs
         self.dir_bytes = bob_dirs.directions.tobytes()
         self.tol = tol
-        self.strategies = deterministic_strategies(self.n)
         self.C = correlator_matrix(box)
         alice, bob = box.alice_marginal(), box.bob_marginal()
         self.cov = self.C - np.outer(alice[:, 0] - alice[:, 1], bob[:, 0] - bob[:, 1])
@@ -610,9 +630,6 @@ class _SearchContext:
         self.uniform_bob = np.abs(bob - 0.5).max() <= 1e-9
         self.orthonormal = bob_dirs.is_mub()
         self.diag_norm = float(np.sqrt((np.diag(self.C) ** 2).sum()))
-        # Each distinct strategy set's _least_squares answer, in order of
-        # first appearance: a search solves every set at most once.
-        self.solved: dict[tuple, tuple] = {}
 
     # Built on first use: a search retired by a blanket reason never reads it.
     @functools.cached_property
@@ -650,30 +667,42 @@ class _SearchContext:
 
     # -- per-case solving ----------------------------------------------------
 
-    def solve(self, key):
-        """_least_squares of a distinct strategy set, run on its first request
-        only and stored in the context's table."""
-        if key not in self.solved:
-            self.solved[key] = self._least_squares(key)
-        return self.solved[key]
+    def _solve(self, groups, order, locate):
+        """Phase 1 over set groups, each (sets, a_stack, pinv_stack, ranks) of
+        one size: a product per group gives the points, another the residuals,
+        and each set (groups concatenated; `locate`) a reason code.  Points in
+        the cones are verified in `order`; the first model returns (model, None,
+        None).  Else (None, reasons, jobs): a non-unique point left without a
+        model is "unresolved", with the job (worst cone violation, set, a_mat, z)."""
+        points, codes = [], []
+        for sets, a_stack, pinv_stack, _ in groups:
+            k = len(sets[0])
+            z = pinv_stack @ self.rhs
+            residual = np.abs((a_stack @ z[:, :, None])[:, :, 0] - self.rhs).max(axis=1)
+            q, s = z[:, :k], z[:, k:].reshape(-1, k, 3)
+            norms = np.sqrt((s * s).sum(axis=2))
+            points.append((z, (norms - q).max(axis=1)))
+            code = np.where((norms > q + BLOCH_SLACK).any(axis=1), 2, 4)
+            code = np.where(q.min(axis=1) < -WEIGHT_SLACK, 1, code)
+            codes.append(np.where(residual > self.tol, 0, code))
+        codes = np.concatenate(codes)  # indices into _REASONS
+        for g, row, key in (locate[i] for i in order[codes[order] == 4]):
+            model = self._model_from_solution(key, points[g][0][row])[0]
+            if model is not None:
+                return model, None, None
+        job = ~np.concatenate([r == 4 * len(sets[0]) for sets, *_, r in groups]) & (codes > 0)
+        codes[job | (codes == 4)] = 3
+        jobs = [(float(points[g][1][row]), key, groups[g][1][row], points[g][0][row])
+                for g, row, key in (locate[i] for i in order[job[order]])]
+        return None, _REASONS[codes], jobs
 
-    def _least_squares(self, assignment):
-        """Least-squares solve of one deterministic-Alice slot assignment:
-        (model, "", None), (None, sound reason, None), or, when its point
-        needs a refinement, (None, "unresolved", job) with job = (worst cone
-        violation max_l(|s_l| - q_l), assignment, a_mat, z)."""
-        d = len(assignment)
-        a_mat, pinv, rank = _factored_system(self.dir_bytes, self.n, assignment)
-        z = pinv @ self.rhs
-        residual = float(np.abs(a_mat @ z - self.rhs).max())
-        if residual > self.tol:
-            return None, "reconstruction_residual", None
-        model, reason = self._model_from_solution(assignment, z)
-        if model is not None or rank == 4 * d:
-            # A unique solution's cone violation is a proof.
-            return model, reason, None
-        violation = float((np.linalg.norm(z[d:].reshape(d, 3), axis=1) - z[:d]).max())
-        return None, "unresolved", (violation, assignment, a_mat, z)
+    def _least_squares(self, key):
+        """(model, reason, job) of one sorted distinct strategy set, from its table row."""
+        group = _set_group(self.dir_bytes, self.n, len(key))
+        row = group[0].index(key)
+        one = [tuple(part[row : row + 1] for part in group)]
+        model, reasons, jobs = self._solve(one, np.zeros(1, np.intp), [(0, 0, key)])
+        return model, "" if model is not None else reasons[0], jobs[0] if jobs else None
 
     def _model_from_solution(self, assignment, z) -> tuple[LhvLhsModel | None, str]:
         """(model, "") when every class of z lies in its cone and the model
@@ -766,8 +795,10 @@ class _SearchContext:
             return model
         # Classes left at zero weight sit at a cone apex, where the norm is
         # not differentiable and SLSQP stalls; solve once more without them.
-        # A model with fewer classes is still a model of dimension at most d.
-        model, _, job = self.solve(tuple(itertools.compress(assignment, keep)))
+        # A model with fewer classes is still a model of dimension at most d,
+        # and repeated strategies merge into one class (module docstring).
+        subset = tuple(dict.fromkeys(itertools.compress(assignment, keep)))
+        model, _, job = self._least_squares(subset)
         return model if job is None else self._refine(*job[1:])
 
     # -- constructive feasibility lanes --------------------------------------
@@ -840,35 +871,29 @@ class _SearchContext:
 
 
 def search_lhs_bounded(
-    box: Box, bob_dirs: MeasurementSet, d: int, tol: float = DEFAULT_TOL
+    box: Box, bob_dirs: MeasurementSet, d: int, tol: float = DEFAULT_TOL, *, _context=None
 ) -> LhvLhsModel | InfeasibilityTrace:
     """Search for a hidden-state model of dimension at most d.
 
     Phase 1 assigns deterministic Alice strategies to the d slots, repeats
-    allowed, and reduces each assignment to its set of distinct strategies;
-    at d = 2^n it runs over the all-distinct assignment alone.  Each distinct
-    set's linear system, in the variables q_l = p(l) and s_l = p(l) *
-    (Bloch vector of Bob's hidden state), is solved once per search, the
-    refinements' zero-weight retries included, and its reason goes to every
-    assignment that reduces to it; feasibility additionally needs q_l >= 0
-    and |s_l| <= q_l.  The system's matrix depends only on the directions
-    and the set, so its pseudo-inverse is computed once per process and a
-    solve is one product with the box's entries.  Phase 2 covers stochastic
-    Alice responses by grouping d' <= 2^n deterministic strategies into d
-    classes sharing a Bob state each.
+    allowed, and gives each assignment the answer of its set of distinct
+    strategies (the all-distinct set alone at d = 2^n): the least-squares
+    point, in q_l = p(l) and s_l = p(l) * (Bloch vector of Bob's hidden
+    state), of every set at once from the process-wide table, which must
+    also meet q_l >= 0 and |s_l| <= q_l.  Phase 2 covers stochastic Alice
+    responses by grouping d' <= 2^n deterministic strategies into d classes
+    sharing a Bob state each.
 
     A blanket reason retires every case at once: a model-universal
     correlator obstruction; at d = 1 the product-lane proof; or else, at
     d = 2^n, phase 1's one answer: a sound rejection, or "unresolved" when
-    neither a model nor a proof came out.  Otherwise phase 1 tries every
-    distinct set's least-squares point in order of first appearance, then
-    refines the non-unique ones that leave the cones, least worst cone
-    violation max_l(|s_l| - q_l) first, ties in that order; a refinement only
-    finds models, so the trace is as if each set were solved in turn.  Every
-    other case takes the blanket reason or is reported unresolved.  The case
-    labels depend only on (n, d) and are built once per process; the trace
-    is a CaseTrace over them that stores the phase-1 reasons and the one
-    reason of every later case, never a pair per case.
+    neither a model nor a proof came out.  Otherwise the points inside the
+    cones are verified in order of first appearance, then the non-unique
+    ones left without a model are refined, least worst cone violation
+    max_l(|s_l| - q_l) first, ties in that order; a refinement only finds
+    models, so the trace is as if each set were solved in turn.  Every other
+    case takes the blanket reason or is reported unresolved, in a CaseTrace
+    over the (n, d) labels.  A certificate passes its context as _context.
 
     Returns:
         A verified LhvLhsModel, or an InfeasibilityTrace listing every case
@@ -880,16 +905,15 @@ def search_lhs_bounded(
         InvalidBox, DimensionMismatch, OutOfRange: on malformed input, a
             tol below ATOL_BOX included.
     """
-    _check_tol(tol)
-    box.validate()
-    if bob_dirs.n != box.n:
-        raise DimensionMismatch(
-            f"box has {box.n} settings, directions have {bob_dirs.n}"
-        )
+    if _context is None:
+        _check_tol(tol)
+        box.validate()
+        if bob_dirs.n != box.n:
+            raise DimensionMismatch(f"box has {box.n} settings, directions have {bob_dirs.n}")
     d_top = 2 ** box.n
     if not 1 <= d <= d_top:
         raise OutOfRange(f"d must lie in [1, {d_top}], got {d}")
-    ctx = _SearchContext(box, bob_dirs, tol)
+    ctx = _context or _SearchContext(box, bob_dirs, tol)
     # One reason that retires every case at once, when there is one.
     blanket = ctx.universal_reason(d)
 
@@ -905,26 +929,22 @@ def search_lhs_bounded(
 
     # At the top dimension the all-distinct assignment is fully general, so
     # phase 1 runs over it alone and its answer is every case's.
-    reasons: list[str] = []
+    reasons = ()
     if blanket is None:
-        if d == d_top:
-            assignments = [ctx.strategies]
-        else:
-            assignments = itertools.combinations_with_replacement(ctx.strategies, d)
-        for assignment in assignments:
-            model, reason, _ = ctx.solve(tuple(dict.fromkeys(assignment)))
-            if model is not None:
-                return model
-            reasons.append(reason)
-    jobs = [job for _, _, job in ctx.solved.values() if job is not None]
-    for job in sorted(jobs, key=lambda job: job[0]):
-        model = ctx._refine(*job[1:])
+        sizes, set_of, order, locate = _phase1_sets(box.n, d)
+        groups = [_set_group(ctx.dir_bytes, box.n, k) for k in sizes]
+        model, reasons, jobs = ctx._solve(groups, order, locate)
         if model is not None:
             return model
-    if d == d_top and reasons:
-        blanket, reasons = reasons[0], []
+        for job in sorted(jobs, key=lambda job: job[0]):
+            model = ctx._refine(*job[1:])
+            if model is not None:
+                return model
+        reasons = tuple(reasons[set_of])
+        if d == d_top:
+            blanket, reasons = reasons[0], ()
 
-    cases = CaseTrace(_case_labels(box.n, d), tuple(reasons), blanket or "unresolved")
+    cases = CaseTrace(_case_labels(box.n, d), reasons, blanket or "unresolved")
     sound = "unresolved" not in cases.head and cases.tail != "unresolved"
     return InfeasibilityTrace(d, cases, sound, sound and blanket is not None)
 
@@ -955,12 +975,12 @@ def certify_quantumness(
     functional = steering_functional(box, n)
     if functional > 1.0 + 1e-9:
         return Certificate(WITNESSED_STEERABLE, d_A, functional, None, ())
-    dirs = pauli_axes(n)
-    first = search_lhs_bounded(box, dirs, d_A, tol)
+    ctx = _SearchContext(box, pauli_axes(n), tol)
+    first = search_lhs_bounded(box, ctx.dirs, d_A, tol, _context=ctx)
     if isinstance(first, LhvLhsModel):
         return Certificate(CLASSICAL_AT_DIMENSION, d_A, functional, first, ())
     if first.sound and first.exhaustive and d_A < d_top:
-        top = search_lhs_bounded(box, dirs, d_top, tol)
+        top = search_lhs_bounded(box, ctx.dirs, d_top, tol, _context=ctx)
         if isinstance(top, LhvLhsModel):
             return Certificate(SUPERUNSTEERABLE, d_A, functional, top, first.cases)
     return Certificate(UNDECIDED, d_A, functional, None, first.cases)

@@ -17,6 +17,7 @@ from unsteer import (
     Certificate,
     DimensionMismatch,
     InfeasibilityTrace,
+    InvalidBox,
     LhvLhsModel,
     MeasurementSet,
     OutOfRange,
@@ -37,9 +38,10 @@ from unsteer.decompose import (
     CaseTrace,
     _case_labels,
     _coefficient_blocks,
-    _factored_system,
     _Interior,
+    _phase1_sets,
     _SearchContext,
+    _set_group,
 )
 
 from oracles import (
@@ -240,23 +242,37 @@ class TestSearchMechanics:
         "forced, calls", [("unresolved", 1), ("negative_weight", 1)]
     )
     def test_top_assignment_solved_once(self, monkeypatch, forced, calls):
-        """At d = 2^n the all-distinct assignment is solved once and no other
-        assignment is: its answer, a sound rejection or unresolved, is every
-        case's."""
-        solved = []
+        """At d = 2^n phase 1 evaluates the all-distinct set alone, once, in a
+        single batched solve: its answer, a sound rejection or unresolved, is
+        every case's."""
+        evaluated = []
 
-        def least_squares(ctx, assignment):
-            solved.append(assignment)
-            return None, forced, None
+        def solve(ctx, groups, order, locate):
+            evaluated.append([key for sets, *_ in groups for key in sets])
+            return None, np.array([forced], dtype=object), []
 
-        monkeypatch.setattr(_SearchContext, "_least_squares", least_squares)
+        monkeypatch.setattr(_SearchContext, "_solve", solve)
         trace = search_lhs_bounded(bd_box(0.5, 0.4, -0.3), pauli_axes(2), 4)
-        top = deterministic_strategies(2)
-        assert solved[0] == top and solved.count(top) == 1
-        assert len(solved) == len(set(solved)) == calls
+        assert evaluated == [[deterministic_strategies(2)]]
+        assert len(evaluated[0]) == calls
         assert [label for label, _ in trace.cases] == search_case_labels(2, 4)
         assert {reason for _, reason in trace.cases} == {forced}
         assert trace.sound == trace.exhaustive == (forced != "unresolved")
+
+
+def count_system_lstsq(monkeypatch, n):
+    """Patch np.linalg.lstsq to record each call on a system matrix of the
+    n-setting search (4 n^2 + 1 rows) by the matrix's bytes."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(a, *args, **kwargs):
+        if a.shape[0] == 4 * n * n + 1:
+            calls.append(a.tobytes())
+        return lstsq(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    return calls
 
 
 class TestFactoredSystems:
@@ -288,26 +304,37 @@ class TestFactoredSystems:
                 ctx = _SearchContext(Box(n, p), dirs, 1e-9)
                 for key in sets:
                     _, reason, job = ctx._least_squares(key)
-                    a_mat, pinv, rank = _factored_system(ctx.dir_bytes, n, key)
-                    z = pinv @ ctx.rhs
+                    keys, a_stack, pinv_stack, ranks = _set_group(ctx.dir_bytes, n, len(key))
+                    row = keys.index(key)
+                    z = pinv_stack[row] @ ctx.rhs
                     want, want_rank, want_z = least_squares_lstsq(
                         p, dirs.directions, blocks, key, 1e-9
                     )
-                    assert (reason, rank) == (want, want_rank), key
+                    assert (reason, ranks[row]) == (want, want_rank), key
                     assert np.abs(z - want_z).max() <= 1e-12, key
                     if job is not None:
-                        assert job[2] is a_mat and np.array_equal(job[3], z)
+                        assert job[1] == key and np.shares_memory(job[2], a_stack)
+                        assert np.array_equal(job[2], a_stack[row])
+                        assert np.array_equal(job[3], z)
                     seen.add(reason)
         assert {"", "reconstruction_residual", "unresolved"} <= seen
 
     def test_cached_arrays_are_read_only(self):
-        """The cached blocks, system matrix and pseudo-inverse refuse writes."""
-        directions = pauli_axes(2).directions.tobytes()
-        key = deterministic_strategies(2)[:2]
-        a_mat, pinv, _ = _factored_system(directions, 2, key)
-        for array in (a_mat, pinv, _coefficient_blocks(directions, 2)[key[0]]):
+        """Every array of the table refuses writes, at n = 2 and 3: the
+        blocks, each size's stacked system matrices, pseudo-inverses and
+        ranks, and each (n, d)'s assignment-to-set map and first-appearance
+        order."""
+        arrays = []
+        for n in (2, 3):
+            directions = pauli_axes(n).directions.tobytes()
+            arrays.append(_coefficient_blocks(directions, n)[deterministic_strategies(n)[0]])
+            for k in range(1, 2**n + 1):
+                arrays += _set_group(directions, n, k)[1:]
+                arrays += _phase1_sets(n, k)[1:3]
+        assert len(arrays) == 2 + 5 * 12
+        for array in arrays:
             with pytest.raises(ValueError):
-                array[0, 0] = 1.0
+                array[(0,) * array.ndim] = 1
 
     def test_interleaved_directions_match_a_cleared_cache(self):
         """Searches alternating between Pauli and random directions, at every
@@ -334,7 +361,7 @@ class TestFactoredSystems:
         interleaved = [outcome(search_lhs_bounded(*run)) for run in runs]
         fresh = []
         for run in runs:
-            _factored_system.cache_clear()
+            _set_group.cache_clear()
             _coefficient_blocks.cache_clear()
             fresh.append(outcome(search_lhs_bounded(*run)))
         assert interleaved == fresh
@@ -342,26 +369,46 @@ class TestFactoredSystems:
 
     def test_second_certificate_factors_no_set_again(self, monkeypatch):
         """A second certificate at the same (n, d_A), on another box, calls
-        lstsq on no system matrix: every strategy set it solves was factored
-        by the first."""
-        rows = 4 * 2 * 2 + 1
-        calls = []
-        lstsq = np.linalg.lstsq
+        lstsq on no system matrix, its refinements' zero-weight retries
+        included: every strategy set it solves was factored by the first,
+        each exactly once."""
+        calls = count_system_lstsq(monkeypatch, 2)
+        retries = []
+        least_squares = _SearchContext._least_squares
 
-        def counting_lstsq(a, *args, **kwargs):
-            if a.shape[0] == rows:
-                calls.append(a.tobytes())
-            return lstsq(a, *args, **kwargs)
+        def recording(ctx, key):
+            retries.append((key, len(calls)))
+            return least_squares(ctx, key)
 
-        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
-        _factored_system.cache_clear()
+        monkeypatch.setattr(_SearchContext, "_least_squares", recording)
+        _set_group.cache_clear()
         first = certify_quantumness(bd_box(0.5, 0.4, -0.3), 2, d_A=3)
-        factored = set(calls)
+        assert len(calls) == len(set(calls)) == 14
         calls.clear()
+        retries.clear()
         second = certify_quantumness(bd_box(0.45, 0.35, -0.25), 2, d_A=3)
         assert first.verdict == second.verdict == UNDECIDED
-        assert len(factored) == 14
         assert calls == []
+        assert retries and all(count == 0 for _, count in retries)
+
+    def test_cold_certificate_factors_each_needed_set_once(self, monkeypatch):
+        """On a cleared table, a cold n = 3, d_A = 3 certificate factors at
+        most the 92 sets of sizes 1 to 3 and the all-distinct set, each once:
+        a size is factored only when a search needs it.  A box retired at
+        d_A by the rank obstruction factors the all-distinct set alone."""
+        calls = count_system_lstsq(monkeypatch, 3)
+        axes = pauli_axes(3)
+        boxes = {
+            SUPERUNSTEERABLE: bd_box(0.3, 0.3, -0.3, n=3),
+            CLASSICAL_AT_DIMENSION: Box(3, random_model_box(
+                np.random.default_rng(5), 3, axes, "deterministic"
+            )),
+        }
+        for verdict, want in ((SUPERUNSTEERABLE, 1), (CLASSICAL_AT_DIMENSION, 92)):
+            _set_group.cache_clear()
+            calls.clear()
+            assert certify_quantumness(boxes[verdict], 3, d_A=3).verdict == verdict
+            assert len(calls) == len(set(calls)) == want <= 93
 
 
 def forced_traces(n, d):
@@ -425,9 +472,10 @@ class TestCaseTrace:
 
 
 def one_assignment_at_a_time(box, dirs, d, tol=1e-9):
-    """Reference search below 2^n: phase 1 as ctx._least_squares on each
-    assignment in enumeration order, each refined before the next is tried,
-    then the same blanket, labels and flags as search_lhs_bounded."""
+    """Reference search below 2^n: phase 1 as one direct lstsq of each
+    assignment's own system (tests/oracles.py), repeated strategies kept, in
+    enumeration order, each refined before the next is tried, then the same
+    blanket, labels and flags as search_lhs_bounded."""
     ctx = _SearchContext(box, dirs, tol)
     blanket = ctx.universal_reason(d)
     if blanket is None:
@@ -436,13 +484,54 @@ def one_assignment_at_a_time(box, dirs, d, tol=1e-9):
             return model
     reasons = []
     if blanket is None:
-        for assignment in itertools.combinations_with_replacement(ctx.strategies, d):
-            model, reason, job = ctx._least_squares(assignment)
-            if job is not None:
-                model = ctx._refine(*job[1:])
+        strategies = deterministic_strategies(box.n)
+        blocks = coefficient_blocks_loops(strategies, dirs.directions)
+        for assignment in itertools.combinations_with_replacement(strategies, d):
+            reason, rank, z = least_squares_lstsq(box.p, dirs.directions, blocks, assignment, tol)
+            model = ctx._model_from_solution(assignment, z)[0] if reason == "" else None
+            if model is None and reason in ("", "unresolved") and rank < 4 * d:
+                a_mat = np.concatenate(
+                    [blocks[s][:, :1] for s in assignment] + [blocks[s][:, 1:] for s in assignment],
+                    axis=1,
+                )
+                model = ctx._refine(assignment, a_mat, z)
             if model is not None:
                 return model
-            reasons.append(reason)
+            reasons.append(reason or "unresolved")
+    labels = _case_labels(box.n, d)
+    reasons += [blanket or "unresolved"] * (len(labels) - len(reasons))
+    sound = "unresolved" not in reasons
+    return InfeasibilityTrace(d, tuple(zip(labels, reasons)), sound, sound and blanket is not None)
+
+
+def one_set_at_a_time(box, dirs, d, tol=1e-9):
+    """Reference phase 1 below 2^n without batching: ctx._least_squares on
+    each distinct strategy set, one at a time, in order of first appearance,
+    returning the first model; then the refinements, least worst cone
+    violation first, ties in that order; then the trace as
+    search_lhs_bounded builds it."""
+    ctx = _SearchContext(box, dirs, tol)
+    blanket = ctx.universal_reason(d)
+    if blanket is None:
+        model = ctx.construct_two_class()
+        if model is not None:
+            return model
+    reasons = []
+    if blanket is None:
+        answers = {}
+        strategies = deterministic_strategies(box.n)
+        for assignment in itertools.combinations_with_replacement(strategies, d):
+            key = tuple(dict.fromkeys(assignment))
+            if key not in answers:
+                answers[key] = ctx._least_squares(key)
+                if answers[key][0] is not None:
+                    return answers[key][0]
+            reasons.append(answers[key][1])
+        jobs = [job for _, _, job in answers.values() if job is not None]
+        for job in sorted(jobs, key=lambda job: job[0]):
+            model = ctx._refine(*job[1:])
+            if model is not None:
+                return model
     labels = _case_labels(box.n, d)
     reasons += [blanket or "unresolved"] * (len(labels) - len(reasons))
     sound = "unresolved" not in reasons
@@ -503,6 +592,41 @@ class TestTwoPassPhaseOne:
             outcomes.append(type(got).__name__)
         assert {"LhvLhsModel", "InfeasibilityTrace"} <= set(outcomes)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_batched_phase_one_matches_one_set_at_a_time(self, n):
+        """At every d from 2 to 2^n - 1, on Bell-diagonal, mixed and k-class
+        model boxes with deterministic and stochastic Alice: the batched
+        search returns the model of solving one distinct set at a time,
+        equal in to_json_dict, or the same trace; and an assignment-by-
+        assignment search agrees on whether a model exists and on the trace."""
+        rng = np.random.default_rng(167 + n)
+        axes = pauli_axes(n)
+        outcomes = set()
+        for i in range(24 if n == 2 else 12):
+            kind = ("bd", "mixed", "deterministic", "stochastic")[i % 4]
+            if kind in ("deterministic", "stochastic"):
+                p = random_model_box(rng, int(rng.integers(2, 2**n + 1)), axes, kind)
+            else:
+                rho = bell_diagonal(BellDiagonalParams(*random_physical_triple(rng)))
+                if kind == "mixed":
+                    a, b = random_unit_vectors(rng, 2) * rng.uniform(0.2, 0.9, size=(2, 1))
+                    w = rng.uniform(0.2, 0.8)
+                    rho = w * np.kron(state_from_bloch(a), state_from_bloch(b)) + (1 - w) * rho
+                p = box_from_state(rho, axes, axes).p
+            box = Box(n, p)
+            for d in range(2, 2**n):
+                got = search_lhs_bounded(box, axes, d)
+                want = one_set_at_a_time(box, axes, d)
+                assert type(got) is type(want), (i, kind, d)
+                if isinstance(got, LhvLhsModel):
+                    assert got.to_json_dict() == want.to_json_dict(), (i, kind, d)
+                else:
+                    assert got.cases == want.cases, (i, kind, d)
+                    assert (got.sound, got.exhaustive) == (want.sound, want.exhaustive)
+                    assert got == one_assignment_at_a_time(box, axes, d), (i, kind, d)
+                outcomes.add((kind, type(got).__name__))
+        assert len(outcomes) >= 6
+
     def test_plain_least_squares_model_needs_no_refinement(self, monkeypatch):
         """Two-class deterministic-Alice model boxes at n = 2, d = 3: an
         early strategy set's least-squares point is not unique and leaves the
@@ -515,15 +639,21 @@ class TestTwoPassPhaseOne:
             box = Box(2, random_model_box(rng, 2, pauli_axes(2), "deterministic"))
             result = search_lhs_bounded(box, pauli_axes(2), 3)
             assert calls == [], i
-            ctx = _SearchContext(box, pauli_axes(2), 1e-9)
+            strategies = deterministic_strategies(2)
+            blocks = coefficient_blocks_loops(strategies, pauli_axes(2).directions)
             keys = dict.fromkeys(
                 tuple(dict.fromkeys(assignment))
-                for assignment in itertools.combinations_with_replacement(ctx.strategies, 3)
+                for assignment in itertools.combinations_with_replacement(strategies, 3)
             )
-            first = next(
-                model for model, _, _ in map(ctx._least_squares, keys) if model is not None
-            )
-            assert result.to_json_dict() == first.to_json_dict(), i
+            answers = [
+                (key, least_squares_lstsq(box.p, pauli_axes(2).directions, blocks, key, 1e-9))
+                for key in keys
+            ]
+            first = next(j for j, (_, (reason, _, _)) in enumerate(answers) if reason == "")
+            key, (_, _, z) = answers[first]
+            assert result.alice_tables.tolist() == [strategy_table(s).tolist() for s in key], i
+            assert np.abs(result.weights - z[: len(key)] / z[: len(key)].sum()).max() <= 1e-12, i
+            assert verify_lhv_lhs(result, box, 1e-9)[0], i
 
     def test_refinements_run_least_violated_first(self, monkeypatch):
         """Four-class stochastic model boxes at n = 2, d = 3, several with no
@@ -547,19 +677,21 @@ class TestTwoPassPhaseOne:
 
 class TestDistinctStrategySets:
     def test_phase_one_solves_each_distinct_set(self, monkeypatch):
-        """An UNDECIDED box at n = 2, d_A = 3: phase 1 hands _least_squares
-        each nonempty strategy set of size <= 3 once, in order of first
-        appearance, and never a repeated strategy; the refinements'
-        zero-weight retries read the stored answers and solve nothing again.
-        The trace keeps every label."""
-        solved = []
-        least_squares = _SearchContext._least_squares
+        """An UNDECIDED box at n = 2, d_A = 3: phase 1 is one batched solve
+        over the table's sets, in which each nonempty strategy set of size
+        <= 3 appears exactly once and no repeated strategy does; the map
+        sends every assignment to its dict.fromkeys reduction, the order is
+        that of first appearance, and the refinements' zero-weight retries
+        solve single rows of the same cached stacks.  The trace keeps every
+        label."""
+        solves = []
+        solve = _SearchContext._solve
 
-        def recording(ctx, assignment):
-            solved.append(assignment)
-            return least_squares(ctx, assignment)
+        def recording(ctx, groups, order, locate):
+            solves.append(([key for sets, *_ in groups for key in sets], groups, order))
+            return solve(ctx, groups, order, locate)
 
-        monkeypatch.setattr(_SearchContext, "_least_squares", recording)
+        monkeypatch.setattr(_SearchContext, "_solve", recording)
         cert = certify_quantumness(bd_box(0.5, 0.4, -0.3), 2, d_A=3)
         assert cert.verdict == UNDECIDED
         strategies = deterministic_strategies(2)
@@ -568,12 +700,21 @@ class TestDistinctStrategySets:
             for size in (1, 2, 3)
             for subset in itertools.combinations(strategies, size)
         ]
-        assert all(len(set(assignment)) == len(assignment) for assignment in solved)
-        assert len(subsets) == 14 and set(solved) == set(subsets)
-        assert solved == list(dict.fromkeys(
-            tuple(dict.fromkeys(assignment))
-            for assignment in itertools.combinations_with_replacement(strategies, 3)
+        evaluated, groups, order = solves[0]
+        assert len(subsets) == 14 and evaluated == subsets
+        assignments = list(itertools.combinations_with_replacement(strategies, 3))
+        set_of = _phase1_sets(2, 3)[1]
+        assert [evaluated[i] for i in set_of] == [tuple(dict.fromkeys(a)) for a in assignments]
+        assert [evaluated[i] for i in order] == list(dict.fromkeys(
+            tuple(dict.fromkeys(assignment)) for assignment in assignments
         ))
+        directions = pauli_axes(2).directions.tobytes()
+        for k, group in enumerate(groups, start=1):
+            assert group[1] is _set_group(directions, 2, k)[1]
+        assert len(solves) > 1
+        for (key,), (group,), _ in solves[1:]:
+            assert len(key) < 3
+            assert np.shares_memory(group[2], _set_group(directions, 2, len(key))[2])
         assert len(cert.trace) == len(_case_labels(2, 3)) == 26
         assert [label for label, _ in cert.trace] == list(_case_labels(2, 3))
 
@@ -641,7 +782,7 @@ class TestTopDimension:
             weights = rng.dirichlet(np.ones(k))
             box = Box(n, model_box_loops(weights, tables, states, dirs.directions))
             ctx = _SearchContext(box, dirs, 1e-9)
-            model, reason, job = ctx._least_squares(ctx.strategies)
+            model, reason, job = ctx._least_squares(strategies)
             if job is not None:
                 model = ctx._refine(*job[1:])
             assert model is not None, (i, k, reason)
@@ -809,6 +950,38 @@ class TestCertificates:
         """certify_quantumness refuses a box whose n disagrees."""
         with pytest.raises(DimensionMismatch):
             certify_quantumness(white_noise_bb84(0.5), 3)
+
+    def test_one_validation_per_certificate(self, monkeypatch):
+        """certify_quantumness validates the box once, whichever verdict and
+        however many searches: both searches share its context and skip
+        re-validating."""
+        calls = []
+        validate = Box.validate
+
+        def counting_validate(box):
+            calls.append(box)
+            return validate(box)
+
+        monkeypatch.setattr(Box, "validate", counting_validate)
+        boxes = [
+            (white_noise_bb84(0.9), 2, WITNESSED_STEERABLE),
+            (white_noise_bb84(0.5), 2, SUPERUNSTEERABLE),
+            (white_noise_bb84(0.0), 2, CLASSICAL_AT_DIMENSION),
+            (bd_box(1.0, 0.3, -0.3, n=3), 3, UNDECIDED),
+            (bd_box(0.3, 0.3, -0.3, n=3), 3, SUPERUNSTEERABLE),
+        ]
+        for box, n, verdict in boxes:
+            calls.clear()
+            assert certify_quantumness(box, n).verdict == verdict
+            assert calls == [box], verdict
+
+    def test_direct_search_still_validates(self):
+        """A direct search_lhs_bounded call validates its box itself."""
+        good = white_noise_bb84(0.5).p
+        for p in (good * 1.01, np.full((2, 2, 2, 2), 0.25 * (1 + 4e-6))):
+            for d in (1, 2, 4):
+                with pytest.raises(InvalidBox, match="normalization"):
+                    search_lhs_bounded(Box(2, p), pauli_axes(2), d)
 
     def test_json_serialization(self):
         """Certificates serialize with verdict, functional, model, and trace."""
