@@ -39,8 +39,10 @@ Five facts the search leans on (all exercised by the test suite):
 * A set's system matrix depends only on Bob's directions and the set, never
   on the box.  So each is factored once per process (one lstsq against the
   identity, under lstsq's own rank rule) into a read-only table stacked by
-  set size, and phase 1 is one batched solve: a product per size for the
-  points, one for the residuals, and the cone tests over all sets at once.
+  set size, beside one table per (n, d) of the case labels and each
+  assignment's set.  Phase 1 is one batched solve: a product per size for
+  the points, one for the residuals, and one cone test over all sets at
+  once, the same that decides a refinement's end point.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .boxes import (
     deterministic_strategies,
     pauli_axes,
     steering_functional,
+    strategy_table,
     white_noise_bb84,
 )
 from .errors import (
@@ -392,12 +395,8 @@ def build_lhs_model_2set(params: BellDiagonalParams) -> LhvLhsModel:
     _require_canonical(params, 2)
     c1p = two_set_remainder(params).c1
     z = float(np.sqrt(max(0.0, 1.0 - c1p * c1p)))
-    alice = np.array(
-        [
-            [[1.0, 0.0], [0.5, 0.5]],
-            [[0.0, 1.0], [0.5, 0.5]],
-        ]
-    )
+    alice = np.stack([strategy_table((bit, 0)) for bit in (0, 1)])
+    alice[:, 1] = 0.5
     bob = np.array([[c1p, 0.0, z], [-c1p, 0.0, z]])
     return LhvLhsModel(2, np.array([0.5, 0.5]), alice, bob, pauli_axes(2))
 
@@ -452,11 +451,8 @@ def build_lhs_model_3set(params: BellDiagonalParams) -> LhvLhsModel:
     _require_canonical(params, 3)
     geo = three_set_model_parameters(params)
     d1, d2, f = geo["d1"], geo["d2"], geo["f"]
-    alice = np.empty((4, 3, 2))
-    for lam, (bit0, bit1) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        alice[lam, 0] = (1.0 - bit0, float(bit0))
-        alice[lam, 1] = (1.0 - bit1, float(bit1))
-        alice[lam, 2] = (0.5, 0.5)
+    alice = np.stack([strategy_table((*bits, 0)) for bits in deterministic_strategies(2)])
+    alice[:, 2] = 0.5
     bob = np.array(
         [
             [d1, d2, -f],
@@ -505,55 +501,63 @@ def verify_lhv_lhs(model: LhvLhsModel, target: Box, tol: float) -> tuple[bool, f
 # ---------------------------------------------------------------------------
 
 
-def _sorted_subsets(items: tuple):
-    """Every subset of `items` as a tuple, in sorted tuple order."""
-    yield ()
-    for i, item in enumerate(items):
-        for tail in _sorted_subsets(items[i + 1 :]):
-            yield (item, *tail)
-
-
 def _sorted_partitions(items: tuple, k: int):
     """Partitions of `items` into k nonempty classes, in sorted order: items[0]
-    with each subset of the rest in turn, then what is left in k - 1 classes."""
+    with each subset of the rest that leaves at least k - 1 items, in sorted
+    tuple order, then what is left in k - 1 classes."""
     if k == 1:
         yield (items,)
         return
-    for subset in _sorted_subsets(items[1:]):
-        rest = tuple(item for item in items[1:] if item not in subset)
-        if len(rest) >= k - 1:
-            for tail in _sorted_partitions(rest, k - 1):
-                yield ((items[0], *subset), *tail)
+    rest = items[1:]
+    subsets = (itertools.combinations(rest, r) for r in range(len(rest) - k + 2))
+    for subset in sorted(itertools.chain.from_iterable(subsets)):
+        left = tuple(item for item in rest if item not in subset)
+        for tail in _sorted_partitions(left, k - 1):
+            yield ((items[0], *subset), *tail)
 
 
 @functools.lru_cache(maxsize=None)
-def _case_labels(n: int, d: int) -> tuple[str, ...]:
-    """Every case label of a search at (n, d), in trace order: the phase-1
-    slot assignments lexicographically, then the phase-2 groupings sorted by
-    (d', subset, partition).  Strategy names are equal-length bit strings, so
-    they sort as the strategies do."""
-    names = ["".join(map(str, s)) for s in deterministic_strategies(n)]
-    labels = [
-        "deterministic:" + "+".join(assignment)
-        for assignment in itertools.combinations_with_replacement(names, d)
-    ]
-    for d_prime in range(d + 1, len(names) + 1):
-        for subset in itertools.combinations(names, d_prime):
+def _case_table(n: int, d: int):
+    """(labels, sizes, set_of, order, locate) of a search at (n, d), from one
+    enumeration of its slot assignments.  labels: every case label in trace
+    order, the phase-1 assignments lexicographically, then the phase-2
+    groupings sorted by (d', subset, partition); strategy names are
+    equal-length bit strings, so they sort as the strategies do.  sizes: the
+    sizes whose _set_group sets, concatenated, phase 1 solves (the
+    all-distinct set alone at d = 2^n).  set_of: each assignment's set of
+    distinct strategies as an index among them.  order: the indices in order
+    of first appearance.  locate: each (group, row, set)."""
+    strategies, top = deterministic_strategies(n), d == 2**n
+    names = {s: "".join(map(str, s)) for s in strategies}
+    assignments = tuple(itertools.combinations_with_replacement(strategies, d))
+    labels = ["deterministic:" + "+".join(map(names.get, a)) for a in assignments]
+    for d_prime in range(d + 1, len(strategies) + 1):
+        for subset in itertools.combinations(names.values(), d_prime):
             labels += (
                 "grouped:" + "|".join(map(",".join, partition))
                 for partition in _sorted_partitions(subset, d)
             )
-    return tuple(labels)
+    sizes = (d,) if top else tuple(range(1, d + 1))
+    locate = tuple((g, row, key) for g, k in enumerate(sizes)
+                   for row, key in enumerate(itertools.combinations(strategies, k)))
+    index = {key: i for i, (*_, key) in enumerate(locate)}
+    set_of = np.array([index[tuple(dict.fromkeys(a))] for a in ([strategies] if top else assignments)])
+    order = np.array(list(dict.fromkeys(set_of.tolist())))
+    set_of.flags.writeable = order.flags.writeable = False
+    return tuple(labels), sizes, set_of, order, locate
 
 
-@functools.lru_cache(maxsize=16)
-def _coefficient_blocks(directions: bytes, n: int) -> dict:
-    """Per-strategy coefficient blocks of the search's linear systems on the
-    n Bob directions given by their float64 bytes (columns: q_l, then s_l in
-    R^3), read-only, so that a set's system matrix is just a column
-    concatenation.  Row (x, y, a, b) is 0.5 * (1, (-1)^b dir_y) where the
-    strategy answers a on x, else zero; the last row makes the weights sum
-    to 1."""
+@functools.lru_cache(maxsize=12)  # every size of one n = 2 and one n = 3 direction set
+def _set_group(directions: bytes, n: int, k: int):
+    """(sets, a_stack, pinv_stack, ranks) of every k-strategy set's system on
+    the n Bob directions given by their float64 bytes, in
+    itertools.combinations order, stacked, read-only.  A strategy's block has
+    the columns q_l, then s_l in R^3, and row (x, y, a, b) 0.5 * (1, (-1)^b
+    dir_y) where the strategy answers a on x, else zero; the last row makes
+    the weights sum to 1.  A set's matrix is its blocks' q columns, then their
+    s columns.  Each pseudo-inverse and rank is the set's own lstsq against
+    the identity.  No matrix depends on the box: a size is factored once,
+    when first needed."""
     dirs = np.frombuffer(directions).reshape(n, 3)
     strategies = deterministic_strategies(n)
     entries = np.empty((n, 2, 4))  # (y, b, column)
@@ -565,43 +569,26 @@ def _coefficient_blocks(directions: bytes, n: int) -> dict:
         answers[:, :, None, :, None, None], entries[:, None, :, :], 0.0
     ).reshape(len(strategies), 4 * n * n, 4)
     blocks[:, -1, 0] = 1.0
-    blocks.flags.writeable = False
-    return dict(zip(strategies, blocks))
-
-
-@functools.lru_cache(maxsize=12)  # every size of one n = 2 and one n = 3 direction set
-def _set_group(directions: bytes, n: int, k: int):
-    """(sets, a_stack, pinv_stack, ranks) of every k-strategy set's system on
-    the given directions, in itertools.combinations order, stacked, read-only.
-    Each pseudo-inverse and rank is the set's own lstsq against the identity.
-    No matrix depends on the box: a size is factored once, when first needed."""
-    blocks = _coefficient_blocks(directions, n)
-    sets = tuple(itertools.combinations(deterministic_strategies(n), k))
-    a_stack = np.stack([
-        np.hstack([blocks[s][:, :1] for s in key] + [blocks[s][:, 1:] for s in key]) for key in sets
-    ])
+    sets = tuple(itertools.combinations(strategies, k))
+    members = blocks[np.array(list(itertools.combinations(range(len(strategies)), k)))]
+    a_stack = np.concatenate([  # (set, row, column), from members' (set, l, row, column)
+        members[..., 0].transpose(0, 2, 1),
+        members[..., 1:].transpose(0, 2, 1, 3).reshape(len(sets), -1, 3 * k),
+    ], axis=2)
     pinvs, _, ranks, _ = zip(*(np.linalg.lstsq(a, np.eye(len(a)), rcond=None) for a in a_stack))
     pinv_stack, ranks = np.stack(pinvs), np.array(ranks)
     a_stack.flags.writeable = pinv_stack.flags.writeable = ranks.flags.writeable = False
     return sets, a_stack, pinv_stack, ranks
 
 
-@functools.lru_cache(maxsize=None)
-def _phase1_sets(n: int, d: int):
-    """(sizes, set_of, order, locate) of phase 1 at (n, d): the sizes whose
-    _set_group sets, concatenated, it solves (the all-distinct set alone at
-    d = 2^n); each assignment's set of distinct strategies as an index among
-    them; the indices in order of first appearance; each (group, row, set)."""
-    strategies, top = deterministic_strategies(n), d == 2**n
-    sizes = (d,) if top else tuple(range(1, d + 1))
-    locate = tuple((g, row, key) for g, k in enumerate(sizes)
-                   for row, key in enumerate(itertools.combinations(strategies, k)))
-    index = {key: i for i, (*_, key) in enumerate(locate)}
-    assignments = [strategies] if top else itertools.combinations_with_replacement(strategies, d)
-    set_of = np.array([index[tuple(dict.fromkeys(a))] for a in assignments])
-    order = np.array(list(dict.fromkeys(set_of.tolist())))
-    set_of.flags.writeable = order.flags.writeable = False
-    return sizes, set_of, order, locate
+def _cone_codes(z: np.ndarray, k: int):
+    """(codes, worst) of points z (..., 4k) over k classes: code 1 where a
+    weight q_l is negative, else 2 where a Bloch part |s_l| exceeds its
+    weight, else 4 (inside every cone); worst is max_l(|s_l| - q_l)."""
+    q, s = z[..., :k], z[..., k:].reshape(*z.shape[:-1], k, 3)
+    norms = np.sqrt((s * s).sum(axis=-1))
+    codes = np.where((norms > q + BLOCH_SLACK).any(axis=-1), 2, 4)
+    return np.where(q.min(axis=-1) < -WEIGHT_SLACK, 1, codes), (norms - q).max(axis=-1)
 
 
 # Phase-1 reasons by code, in the precedence of their tests; 4 is inside the cones.
@@ -676,18 +663,14 @@ class _SearchContext:
         model is "unresolved", with the job (worst cone violation, set, a_mat, z)."""
         points, codes = [], []
         for sets, a_stack, pinv_stack, _ in groups:
-            k = len(sets[0])
             z = pinv_stack @ self.rhs
             residual = np.abs((a_stack @ z[:, :, None])[:, :, 0] - self.rhs).max(axis=1)
-            q, s = z[:, :k], z[:, k:].reshape(-1, k, 3)
-            norms = np.sqrt((s * s).sum(axis=2))
-            points.append((z, (norms - q).max(axis=1)))
-            code = np.where((norms > q + BLOCH_SLACK).any(axis=1), 2, 4)
-            code = np.where(q.min(axis=1) < -WEIGHT_SLACK, 1, code)
+            code, worst = _cone_codes(z, len(sets[0]))
+            points.append((z, worst))
             codes.append(np.where(residual > self.tol, 0, code))
         codes = np.concatenate(codes)  # indices into _REASONS
         for g, row, key in (locate[i] for i in order[codes[order] == 4]):
-            model = self._model_from_solution(key, points[g][0][row])[0]
+            model = self._model_from_solution(key, points[g][0][row])
             if model is not None:
                 return model, None, None
         job = ~np.concatenate([r == 4 * len(sets[0]) for sets, *_, r in groups]) & (codes > 0)
@@ -704,20 +687,12 @@ class _SearchContext:
         model, reasons, jobs = self._solve(one, np.zeros(1, np.intp), [(0, 0, key)])
         return model, "" if model is not None else reasons[0], jobs[0] if jobs else None
 
-    def _model_from_solution(self, assignment, z) -> tuple[LhvLhsModel | None, str]:
-        """(model, "") when every class of z lies in its cone and the model
-        verifies; else (None, "negative_weight"), (None,
-        "bloch_norm_exceeds_weight") or, failing verification, (None,
-        "unresolved")."""
+    def _model_from_solution(self, assignment, z) -> LhvLhsModel | None:
+        """The model of a point z that _cone_codes puts inside every cone, if
+        it verifies."""
         d = len(assignment)
-        q = z[:d]
+        q = np.clip(z[:d], 0.0, None)
         s = z[d:].reshape(d, 3)
-        if q.min() < -WEIGHT_SLACK:
-            return None, "negative_weight"
-        norms = np.linalg.norm(s, axis=1)
-        if np.any(norms > q + BLOCH_SLACK):
-            return None, "bloch_norm_exceeds_weight"
-        q = np.clip(q, 0.0, None)
         # Class l's Bloch vector s_l / q_l, pulled back onto the unit sphere
         # when longer; a class of weight 1e-14 or less keeps the zero vector.
         # Each radius is a dot product, rounded as np.linalg.norm of one row.
@@ -725,8 +700,7 @@ class _SearchContext:
         radii = np.sqrt(states[:, None, :] @ states[:, :, None])[:, 0]
         np.divide(states, radii, out=states, where=radii > 1.0)
         tables = (np.array(assignment)[:, :, None] == np.arange(2)).astype(float)
-        model = self._verified(LhvLhsModel(d, q / q.sum(), tables, states, self.dirs))
-        return (model, "") if model is not None else (None, "unresolved")
+        return self._verified(LhvLhsModel(d, q / q.sum(), tables, states, self.dirs))
 
     def _verified(self, model: LhvLhsModel) -> LhvLhsModel | None:
         ok, _ = verify_lhv_lhs(model, self.box, self.tol)
@@ -789,7 +763,7 @@ class _SearchContext:
         except _Interior as interior:
             x = interior.args[0]
         z = z0 + null @ x[:k]
-        model = self._model_from_solution(assignment, z)[0]
+        model = self._model_from_solution(assignment, z) if _cone_codes(z, d)[0] == 4 else None
         keep = z[:d] > WEIGHT_SLACK
         if model is not None or keep.all() or not keep.any():
             return model
@@ -927,11 +901,11 @@ def search_lhs_bounded(
         if model is not None:
             return model
 
+    labels, sizes, set_of, order, locate = _case_table(box.n, d)
     # At the top dimension the all-distinct assignment is fully general, so
     # phase 1 runs over it alone and its answer is every case's.
     reasons = ()
     if blanket is None:
-        sizes, set_of, order, locate = _phase1_sets(box.n, d)
         groups = [_set_group(ctx.dir_bytes, box.n, k) for k in sizes]
         model, reasons, jobs = ctx._solve(groups, order, locate)
         if model is not None:
@@ -944,7 +918,7 @@ def search_lhs_bounded(
         if d == d_top:
             blanket, reasons = reasons[0], ()
 
-    cases = CaseTrace(_case_labels(box.n, d), reasons, blanket or "unresolved")
+    cases = CaseTrace(labels, reasons, blanket or "unresolved")
     sound = "unresolved" not in cases.head and cases.tail != "unresolved"
     return InfeasibilityTrace(d, cases, sound, sound and blanket is not None)
 

@@ -300,6 +300,27 @@ class TestVerifyModel:
         with pytest.raises(InvalidModel):
             verify_lhv_lhs(bad_bloch, target, 1e-9)
 
+    def test_invalid_tables_rejected(self):
+        """A negative response probability and a table row that does not
+        sum to 1 are structural errors, each with its own message."""
+        from unsteer import LhvLhsModel
+
+        good = build_lhs_model_2set(BellDiagonalParams(0.6, 0.4, -0.2))
+        target = box_from_state(
+            bell_diagonal(two_set_remainder(BellDiagonalParams(0.6, 0.4, -0.2))),
+            pauli_axes(2),
+            pauli_axes(2),
+        )
+        for row, message in (
+            ([-0.1, 1.1], "negative response probability"),
+            ([0.3, 0.3], "non-stochastic"),
+        ):
+            tables = good.alice_tables.copy()
+            tables[0, 1] = row
+            bad = LhvLhsModel(2, good.weights, tables, good.bob_states, good.bob_directions)
+            with pytest.raises(InvalidModel, match=message):
+                verify_lhv_lhs(bad, target, 1e-9)
+
     def test_detects_wrong_target(self):
         """A correct model against the wrong box reports a large deviation."""
         model = build_lhs_model_2set(BellDiagonalParams(0.6, 0.4, -0.2))

@@ -36,10 +36,8 @@ from unsteer import (
 )
 from unsteer.decompose import (
     CaseTrace,
-    _case_labels,
-    _coefficient_blocks,
+    _case_table,
     _Interior,
-    _phase1_sets,
     _SearchContext,
     _set_group,
 )
@@ -170,6 +168,55 @@ class TestDimensionTwoInfeasibility:
         ok, dev = verify_lhv_lhs(result, box, 1e-9)
         assert ok, dev
 
+    def test_row_norm_proof(self):
+        """The no-signalling box with uniform marginals and C = [[1, 1],
+        [0, 0]] has diagonal norm 1 and covariance rank 1, so neither other
+        obstruction applies, but a row of norm sqrt(2) rules out every
+        two-class model."""
+        p = np.empty((2, 2, 2, 2))
+        for x, y, a, b in itertools.product((0, 1), repeat=4):
+            p[x, y, a, b] = (1.0 + (-1.0) ** (a + b) * (1.0 if x == 0 else 0.0)) / 4.0
+        trace = search_lhs_bounded(Box(2, p), pauli_axes(2), 2)
+        assert isinstance(trace, InfeasibilityTrace)
+        assert trace.sound and trace.exhaustive
+        assert {reason for _, reason in trace.cases} == {"correlator_row_norm_exceeds_one"}
+
+    def test_row_norm_silent_on_two_class_models(self):
+        """Falsification: the box of a random two-class model with uniform
+        marginals (the lighter class's Alice expectations and Bloch vector
+        are the heavier's, reversed and scaled by the weight ratio) on
+        orthonormal directions, Pauli or random, gets a verified model at
+        d = 2.  A third of the models sit on the bound: weights 1/2,
+        deterministic opposite answers and antipodal pure states in the
+        directions' span, so that a covariance row has norm exactly 1."""
+        rng = np.random.default_rng(181)
+        on_bound = 0
+        for i in range(90):
+            n = 2 + i % 2
+            if i % 2 == 0:
+                dirs = pauli_axes(n)
+            else:
+                dirs = MeasurementSet(np.linalg.qr(rng.normal(size=(3, 3)))[0][:n])
+            if i % 3 == 0:
+                w, e = 0.5, rng.choice([-1.0, 1.0], size=n)
+                r = random_unit_vectors(rng, 1)[0] @ dirs.directions.T @ dirs.directions
+                r /= np.linalg.norm(r)
+            else:
+                w, e = rng.uniform(0.05, 0.5), rng.uniform(-1.0, 1.0, size=n)
+                r = random_unit_vectors(rng, 1)[0] * rng.uniform(0.0, 1.0)
+            ratio = w / (1.0 - w)
+            expectations = np.array([e, -ratio * e])
+            tables = np.stack([(1.0 + expectations) / 2.0, (1.0 - expectations) / 2.0], axis=-1)
+            states = np.array([r, -ratio * r])
+            box = Box(n, model_box_loops(np.array([w, 1.0 - w]), tables, states, dirs.directions))
+            ctx = _SearchContext(box, dirs, 1e-9)
+            assert ctx.uniform_alice and ctx.uniform_bob and ctx.orthonormal, i
+            on_bound += bool(np.linalg.norm(ctx.cov, axis=1).max() >= 1.0 - 1e-12)
+            result = search_lhs_bounded(box, dirs, 2)
+            assert isinstance(result, LhvLhsModel), (i, result.cases[0])
+            assert verify_lhv_lhs(result, box, 1e-9)[0], i
+        assert on_bound >= 20
+
 
 class TestCovarianceObstruction:
     def test_silent_on_every_model_box(self):
@@ -222,21 +269,44 @@ class TestSearchMechanics:
         "n, d", [(n, d) for n in (2, 3) for d in range(1, 2**n + 1)]
     )
     def test_case_labels_match_sorted_enumeration(self, n, d):
-        """The cached label table is the enumerate-then-sort listing."""
-        assert list(_case_labels(n, d)) == search_case_labels(n, d)
+        """The cached case table's labels are the enumerate-then-sort
+        listing.  Its phase-1 part lists the sets of every size it solves (d
+        alone at 2^n) in combinations order, each at its (group, row), and
+        sends every assignment (the all-distinct one alone at 2^n) to its
+        dict.fromkeys reduction, with the order that of first appearance."""
+        labels, sizes, set_of, order, locate = _case_table(n, d)
+        assert list(labels) == search_case_labels(n, d)
+        strategies = deterministic_strategies(n)
+        assert sizes == ((d,) if d == 2**n else tuple(range(1, d + 1)))
+        keys = [key for k in sizes for key in itertools.combinations(strategies, k)]
+        assert [key for *_, key in locate] == keys
+        for g, row, key in locate:
+            assert list(itertools.combinations(strategies, sizes[g]))[row] == key
+        assignments = (
+            [strategies] if d == 2**n
+            else list(itertools.combinations_with_replacement(strategies, d))
+        )
+        reduced = [tuple(dict.fromkeys(a)) for a in assignments]
+        assert [keys[i] for i in set_of] == reduced
+        assert [keys[i] for i in order] == list(dict.fromkeys(reduced))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_blocks_match_loop_oracle(self, n):
-        """The broadcast coefficient blocks equal the row-by-row loop bit for
-        bit, zero signs included."""
+        """Every size's stacked system matrices equal, bit for bit and zero
+        signs included, each set's q columns then s columns of the
+        row-by-row loop blocks, in combinations order."""
         rng = np.random.default_rng(79 + n)
+        strategies = deterministic_strategies(n)
         for _ in range(5):
             dirs = MeasurementSet(random_unit_vectors(rng, n))
-            blocks = _coefficient_blocks(dirs.directions.tobytes(), n)
-            want = coefficient_blocks_loops(deterministic_strategies(n), dirs.directions)
-            assert list(blocks) == list(want)
-            for strat, block in want.items():
-                assert blocks[strat].tobytes() == block.tobytes()
+            want = coefficient_blocks_loops(strategies, dirs.directions)
+            for k in range(1, 2**n + 1):
+                sets, a_stack = _set_group(dirs.directions.tobytes(), n, k)[:2]
+                assert sets == tuple(itertools.combinations(strategies, k))
+                assert a_stack.shape == (len(sets), 4 * n * n + 1, 4 * k)
+                for key, a_mat in zip(sets, a_stack):
+                    columns = [want[s][:, :1] for s in key] + [want[s][:, 1:] for s in key]
+                    assert a_mat.tobytes() == np.concatenate(columns, axis=1).tobytes()
 
     @pytest.mark.parametrize(
         "forced, calls", [("unresolved", 1), ("negative_weight", 1)]
@@ -320,21 +390,23 @@ class TestFactoredSystems:
         assert {"", "reconstruction_residual", "unresolved"} <= seen
 
     def test_cached_arrays_are_read_only(self):
-        """Every array of the table refuses writes, at n = 2 and 3: the
-        blocks, each size's stacked system matrices, pseudo-inverses and
+        """Every array of both process-wide tables refuses writes, at n = 2
+        and 3: each size's stacked system matrices, pseudo-inverses and
         ranks, and each (n, d)'s assignment-to-set map and first-appearance
-        order."""
-        arrays = []
+        order; every other part of either table is a tuple."""
+        arrays, parts = [], []
         for n in (2, 3):
             directions = pauli_axes(n).directions.tobytes()
-            arrays.append(_coefficient_blocks(directions, n)[deterministic_strategies(n)[0]])
             for k in range(1, 2**n + 1):
-                arrays += _set_group(directions, n, k)[1:]
-                arrays += _phase1_sets(n, k)[1:3]
-        assert len(arrays) == 2 + 5 * 12
+                group, table = _set_group(directions, n, k), _case_table(n, k)
+                assert len(group) == 4 and len(table) == 5
+                arrays += group[1:] + table[2:4]
+                parts += [group[0], table[0], table[1], table[4]]
+        assert len(arrays) == 5 * 12
         for array in arrays:
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1
+        assert all(type(part) is tuple for part in parts)
 
     def test_interleaved_directions_match_a_cleared_cache(self):
         """Searches alternating between Pauli and random directions, at every
@@ -362,7 +434,7 @@ class TestFactoredSystems:
         fresh = []
         for run in runs:
             _set_group.cache_clear()
-            _coefficient_blocks.cache_clear()
+            _case_table.cache_clear()
             fresh.append(outcome(search_lhs_bounded(*run)))
         assert interleaved == fresh
         assert {type(result) for result in fresh} == {dict, tuple}
@@ -414,7 +486,7 @@ class TestFactoredSystems:
 def forced_traces(n, d):
     """(labels, head, tail) over the (n, d) label table: a head of every
     phase-1 reason, forced to cycle through three reasons, and no head."""
-    labels = _case_labels(n, d)
+    labels = _case_table(n, d)[0]
     cycle = ("negative_weight", "reconstruction_residual", "bloch_norm_exceeds_weight")
     head = tuple(cycle[i % 3] for i in range(math.comb(2**n + d - 1, d)))
     return [(labels, head, "unresolved"), (labels, (), "correlator_rank_exceeds_dimension")]
@@ -462,11 +534,11 @@ class TestCaseTrace:
         the trace is built: under a blanket reason with no head, and below 2^n
         with every phase-1 reason in the head."""
         blanket = search_lhs_bounded(bd_box(0.5, 0.4, -0.3), pauli_axes(2), 2)
-        assert blanket.cases.labels is _case_labels(2, 2)
+        assert blanket.cases.labels is _case_table(2, 2)[0]
         assert blanket.cases.head == ()
         assert blanket.cases.tail == "correlator_rank_exceeds_dimension"
         phase1 = search_lhs_bounded(bd_box(0.5, 0.4, -0.3), pauli_axes(2), 3)
-        assert phase1.cases.labels is _case_labels(2, 3)
+        assert phase1.cases.labels is _case_table(2, 3)[0]
         assert len(phase1.cases.head) == math.comb(4 + 3 - 1, 3)
         assert phase1.cases.tail == "unresolved" and not phase1.sound
 
@@ -488,7 +560,7 @@ def one_assignment_at_a_time(box, dirs, d, tol=1e-9):
         blocks = coefficient_blocks_loops(strategies, dirs.directions)
         for assignment in itertools.combinations_with_replacement(strategies, d):
             reason, rank, z = least_squares_lstsq(box.p, dirs.directions, blocks, assignment, tol)
-            model = ctx._model_from_solution(assignment, z)[0] if reason == "" else None
+            model = ctx._model_from_solution(assignment, z) if reason == "" else None
             if model is None and reason in ("", "unresolved") and rank < 4 * d:
                 a_mat = np.concatenate(
                     [blocks[s][:, :1] for s in assignment] + [blocks[s][:, 1:] for s in assignment],
@@ -498,7 +570,7 @@ def one_assignment_at_a_time(box, dirs, d, tol=1e-9):
             if model is not None:
                 return model
             reasons.append(reason or "unresolved")
-    labels = _case_labels(box.n, d)
+    labels = _case_table(box.n, d)[0]
     reasons += [blanket or "unresolved"] * (len(labels) - len(reasons))
     sound = "unresolved" not in reasons
     return InfeasibilityTrace(d, tuple(zip(labels, reasons)), sound, sound and blanket is not None)
@@ -532,7 +604,7 @@ def one_set_at_a_time(box, dirs, d, tol=1e-9):
             model = ctx._refine(*job[1:])
             if model is not None:
                 return model
-    labels = _case_labels(box.n, d)
+    labels = _case_table(box.n, d)[0]
     reasons += [blanket or "unresolved"] * (len(labels) - len(reasons))
     sound = "unresolved" not in reasons
     return InfeasibilityTrace(d, tuple(zip(labels, reasons)), sound, sound and blanket is not None)
@@ -703,7 +775,7 @@ class TestDistinctStrategySets:
         evaluated, groups, order = solves[0]
         assert len(subsets) == 14 and evaluated == subsets
         assignments = list(itertools.combinations_with_replacement(strategies, 3))
-        set_of = _phase1_sets(2, 3)[1]
+        set_of = _case_table(2, 3)[2]
         assert [evaluated[i] for i in set_of] == [tuple(dict.fromkeys(a)) for a in assignments]
         assert [evaluated[i] for i in order] == list(dict.fromkeys(
             tuple(dict.fromkeys(assignment)) for assignment in assignments
@@ -715,8 +787,9 @@ class TestDistinctStrategySets:
         for (key,), (group,), _ in solves[1:]:
             assert len(key) < 3
             assert np.shares_memory(group[2], _set_group(directions, 2, len(key))[2])
-        assert len(cert.trace) == len(_case_labels(2, 3)) == 26
-        assert [label for label, _ in cert.trace] == list(_case_labels(2, 3))
+        labels = _case_table(2, 3)[0]
+        assert len(cert.trace) == len(labels) == 26
+        assert [label for label, _ in cert.trace] == list(labels)
 
     def test_repeated_strategies_are_never_rejected(self):
         """Falsification: the box of a random k-class model whose
@@ -853,6 +926,47 @@ class TestTopDimension:
         assert trace.sound and trace.exhaustive
         assert {reason for _, reason in trace.cases} == {"reconstruction_residual"}
 
+    def test_product_lane_bias_residual_proof(self):
+        """Three coplanar directions x-hat, y-hat and (x-hat + y-hat)/sqrt(2)
+        with Bob biases off that plane: no Bloch vector gives them, so the
+        d = 1 lane retires the product box by the biases' residual alone."""
+        dirs = MeasurementSet(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [SQRT_HALF, SQRT_HALF, 0.0]]))
+        alice = np.array([[0.5, 0.5], [0.7, 0.3], [0.2, 0.8]])
+        bias = np.array([0.2, 0.2, -0.3])
+        bob = np.stack([(1.0 + bias) / 2.0, (1.0 - bias) / 2.0], axis=-1)
+        trace = search_lhs_bounded(Box(3, np.einsum("xa,yb->xyab", alice, bob)), dirs, 1)
+        assert isinstance(trace, InfeasibilityTrace)
+        assert trace.sound and trace.exhaustive
+        assert {reason for _, reason in trace.cases} == {"reconstruction_residual"}
+
+    def test_product_lane_grey_zone(self):
+        """A product box moved by a correlated perturbation that changes no
+        marginal and shifts entries by 2 to 4 tol: the forced product model
+        misses by more than tol, but not by enough for a proof.  The lane says
+        nothing, and the search ends in a verified model or an unsound trace,
+        never a sound one."""
+        rng = np.random.default_rng(193)
+        outcomes = set()
+        for i in range(24):
+            n = 2 + i % 2
+            a, b = random_unit_vectors(rng, 2) * rng.uniform(0.2, 0.9, size=(2, 1))
+            axes = pauli_axes(n)
+            product = box_from_state(np.kron(state_from_bloch(a), state_from_bloch(b)), axes, axes).p
+            tol = (1e-9, 1e-7, 1e-5)[i % 3]
+            shift = rng.uniform(-1.0, 1.0, size=(n, n))
+            sign = np.array([[1.0, -1.0], [-1.0, 1.0]])
+            moved = shift[:, :, None, None] * sign / np.abs(shift).max()
+            box = Box(n, product + (2.0 + 2.0 * i / 23) * tol * moved)
+            ctx = _SearchContext(box, axes, tol)
+            assert ctx.product_lane() == (None, None), i
+            result = search_lhs_bounded(box, axes, 1, tol=tol)
+            if isinstance(result, LhvLhsModel):
+                assert verify_lhv_lhs(result, box, tol)[0], i
+            else:
+                assert not result.sound and not result.exhaustive, i
+            outcomes.add(type(result).__name__)
+        assert "InfeasibilityTrace" in outcomes
+
     def test_product_lane_bloch_norm_proof(self):
         """Uniform Alice with p(b=0|y) = 1 on three orthogonal axes needs a
         Bob Bloch vector of norm sqrt(3), which the d = 1 lane rejects."""
@@ -862,6 +976,14 @@ class TestTopDimension:
         assert isinstance(trace, InfeasibilityTrace)
         assert trace.sound and trace.exhaustive
         assert "bloch_norm_exceeds_weight" in {reason for _, reason in trace.cases}
+
+    def test_direction_count_must_match(self):
+        """A search refuses directions of another length than the box's
+        settings, at every d."""
+        for n, other in ((2, 3), (3, 2)):
+            for d in (1, 2, 4):
+                with pytest.raises(DimensionMismatch, match="directions have"):
+                    search_lhs_bounded(bd_box(0.5, 0.4, -0.3, n=n), pauli_axes(other), d)
 
     def test_bad_dimension_rejected(self):
         """d outside [1, 2^n] is an error."""
