@@ -37,12 +37,13 @@ Five facts the search leans on (all exercised by the test suite):
   the repeated assignment as well.  Phase 1 therefore solves each distinct
   set once, and a refinement retries on its subset's set, never a repeat.
 * A set's system matrix depends only on Bob's directions and the set, never
-  on the box.  So each is factored once per process (one lstsq against the
-  identity, under lstsq's own rank rule) into a read-only table stacked by
-  set size, beside one table per (n, d) of the case labels and each
-  assignment's set.  Phase 1 is one batched solve: a product per size for
-  the points, one for the residuals, and one cone test over all sets at
-  once, the same that decides a refinement's end point.
+  on the box.  So each is factored once per process, by one batched SVD per
+  set size under lstsq's rank rule, into a read-only table of its
+  pseudo-inverse, rank and null space, beside one table per (n, d) of the
+  case labels and each assignment's set.  Phase 1 is one batched solve: a
+  product per size for the points, one for the residuals, and one cone test
+  over all sets at once.  A refinement moves in the table's null space, and
+  verification alone decides its end point.
 """
 
 from __future__ import annotations
@@ -471,21 +472,29 @@ def verify_lhv_lhs(model: LhvLhsModel, target: Box, tol: float) -> tuple[bool, f
         (reconstructs within tol, max entrywise deviation).
 
     Raises:
-        InvalidModel: for structural defects (negative weight, non-stochastic
-        table, Bloch norm above 1) — distinct from a mere mismatch.
+        InvalidModel: for structural defects (counts off the dimension, an
+        entry not finite, negative weight, non-stochastic table, Bloch norm
+        above 1) — distinct from a mere mismatch.
         DimensionMismatch: when the model and target setting counts differ.
     """
+    d, n = model.dimension, model.bob_directions.n
     w = np.asarray(model.weights, dtype=float)
+    tables = np.asarray(model.alice_tables, dtype=float)
+    states = np.asarray(model.bob_states, dtype=float)
+    if d < 1 or (w.shape, tables.shape, states.shape) != ((d,), (d, n, 2), (d, 3)):
+        raise InvalidModel(f"dimension {d} on {n} settings expects weights, tables and states of "
+                           f"({d},), ({d}, {n}, 2), ({d}, 3); got {w.shape}, {tables.shape}, {states.shape}")
+    if not all(np.isfinite(part).all() for part in (w, tables, states)):
+        raise InvalidModel("model entry is not finite")
     if w.min() < -WEIGHT_SLACK:
         raise InvalidModel(f"negative weight {w.min():.3g}")
     if abs(w.sum() - 1.0) > 1e-9:
         raise InvalidModel(f"weights sum to {w.sum()}, expected 1")
-    tables = np.asarray(model.alice_tables, dtype=float)
     if tables.min() < -WEIGHT_SLACK:
         raise InvalidModel("negative response probability in an Alice table")
     if np.abs(tables.sum(axis=2) - 1.0).max() > 1e-9:
         raise InvalidModel("non-stochastic Alice response table")
-    norms = np.linalg.norm(np.asarray(model.bob_states, dtype=float), axis=1)
+    norms = np.linalg.norm(states, axis=1)
     if norms.max() > 1.0 + BLOCH_SLACK:
         raise InvalidModel(f"Bloch norm {norms.max():.6g} exceeds 1")
     if model.bob_directions.n != target.n:
@@ -549,15 +558,16 @@ def _case_table(n: int, d: int):
 
 @functools.lru_cache(maxsize=12)  # every size of one n = 2 and one n = 3 direction set
 def _set_group(directions: bytes, n: int, k: int):
-    """(sets, a_stack, pinv_stack, ranks) of every k-strategy set's system on
-    the n Bob directions given by their float64 bytes, in
+    """(sets, a_stack, pinv_stack, ranks, vt_stack) of every k-strategy set's
+    system on the n Bob directions given by their float64 bytes, in
     itertools.combinations order, stacked, read-only.  A strategy's block has
     the columns q_l, then s_l in R^3, and row (x, y, a, b) 0.5 * (1, (-1)^b
     dir_y) where the strategy answers a on x, else zero; the last row makes
     the weights sum to 1.  A set's matrix is its blocks' q columns, then their
-    s columns.  Each pseudo-inverse and rank is the set's own lstsq against
-    the identity.  No matrix depends on the box: a size is factored once,
-    when first needed."""
+    s columns.  One batched SVD of the stack gives each pseudo-inverse, rank
+    (lstsq's rule: sigma > eps * max(rows, columns) * sigma_0) and V^T, whose
+    rows from the rank on span the null space a refinement moves in.  No
+    matrix depends on the box: a size is factored once, when first needed."""
     dirs = np.frombuffer(directions).reshape(n, 3)
     strategies = deterministic_strategies(n)
     entries = np.empty((n, 2, 4))  # (y, b, column)
@@ -575,10 +585,14 @@ def _set_group(directions: bytes, n: int, k: int):
         members[..., 0].transpose(0, 2, 1),
         members[..., 1:].transpose(0, 2, 1, 3).reshape(len(sets), -1, 3 * k),
     ], axis=2)
-    pinvs, _, ranks, _ = zip(*(np.linalg.lstsq(a, np.eye(len(a)), rcond=None) for a in a_stack))
-    pinv_stack, ranks = np.stack(pinvs), np.array(ranks)
+    u, sv, vt_stack = np.linalg.svd(a_stack, full_matrices=False)
+    kept = sv > np.finfo(float).eps * max(a_stack.shape[1:]) * sv[:, :1]
+    ranks = kept.sum(axis=1)
+    inverse = np.divide(1.0, sv, out=np.zeros_like(sv), where=kept)
+    pinv_stack = (vt_stack.transpose(0, 2, 1) * inverse[:, None]) @ u.transpose(0, 2, 1)
     a_stack.flags.writeable = pinv_stack.flags.writeable = ranks.flags.writeable = False
-    return sets, a_stack, pinv_stack, ranks
+    vt_stack.flags.writeable = False
+    return sets, a_stack, pinv_stack, ranks, vt_stack
 
 
 def _cone_codes(z: np.ndarray, k: int):
@@ -609,14 +623,16 @@ class _SearchContext:
         self.dirs = bob_dirs
         self.dir_bytes = bob_dirs.directions.tobytes()
         self.tol = tol
-        self.C = correlator_matrix(box)
+        corr = correlator_matrix(box)
         alice, bob = box.alice_marginal(), box.bob_marginal()
-        self.cov = self.C - np.outer(alice[:, 0] - alice[:, 1], bob[:, 0] - bob[:, 1])
-        self.svals = np.linalg.svd(self.cov, compute_uv=False)
+        self.cov = corr - np.outer(alice[:, 0] - alice[:, 1], bob[:, 0] - bob[:, 1])
+        self.cov_u, self.svals, self.cov_vt = np.linalg.svd(self.cov)
+        # How far sigma_i(Cov) moves when the box moves by tol (universal_reason).
+        self.margin = self.n * (12.0 + 16.0 * tol) * tol
         self.uniform_alice = np.abs(alice - 0.5).max() <= 1e-9
         self.uniform_bob = np.abs(bob - 0.5).max() <= 1e-9
         self.orthonormal = bob_dirs.is_mub()
-        self.diag_norm = float(np.sqrt((np.diag(self.C) ** 2).sum()))
+        self.diag_norm = float(np.sqrt((np.diag(corr) ** 2).sum()))
 
     # Built on first use: a search retired by a blanket reason never reads it.
     @functools.cached_property
@@ -644,25 +660,25 @@ class _SearchContext:
             return "diagonal_correlator_norm_exceeds_one"
         if d == 1 and not self.uniform_alice:
             return None
-        margin = self.n * (12.0 + 16.0 * self.tol) * self.tol
-        if d <= self.n and self.svals[d - 1] > margin:
+        if d <= self.n and self.svals[d - 1] > self.margin:
             return "correlator_rank_exceeds_dimension"
         rows = np.linalg.norm(self.cov, axis=1)
-        if d <= 2 and self.orthonormal and rows.max() > 1.0 + margin:
+        if d <= 2 and self.orthonormal and rows.max() > 1.0 + self.margin:
             return "correlator_row_norm_exceeds_one"
         return None
 
     # -- per-case solving ----------------------------------------------------
 
     def _solve(self, groups, order, locate):
-        """Phase 1 over set groups, each (sets, a_stack, pinv_stack, ranks) of
-        one size: a product per group gives the points, another the residuals,
-        and each set (groups concatenated; `locate`) a reason code.  Points in
-        the cones are verified in `order`; the first model returns (model, None,
+        """Phase 1 over set groups, each a _set_group table of one size: a
+        product per group gives the points, another the residuals, and each
+        set (groups concatenated; `locate`) a reason code.  Points in the
+        cones are verified in `order`; the first model returns (model, None,
         None).  Else (None, reasons, jobs): a non-unique point left without a
-        model is "unresolved", with the job (worst cone violation, set, a_mat, z)."""
+        model is "unresolved", with the job (worst cone violation, set, null
+        basis of its system, z)."""
         points, codes = [], []
-        for sets, a_stack, pinv_stack, _ in groups:
+        for sets, a_stack, pinv_stack, *_ in groups:
             z = pinv_stack @ self.rhs
             residual = np.abs((a_stack @ z[:, :, None])[:, :, 0] - self.rhs).max(axis=1)
             code, worst = _cone_codes(z, len(sets[0]))
@@ -673,10 +689,10 @@ class _SearchContext:
             model = self._model_from_solution(key, points[g][0][row])
             if model is not None:
                 return model, None, None
-        job = ~np.concatenate([r == 4 * len(sets[0]) for sets, *_, r in groups]) & (codes > 0)
+        job = ~np.concatenate([r == 4 * len(sets[0]) for sets, *_, r, _ in groups]) & (codes > 0)
         codes[job | (codes == 4)] = 3
-        jobs = [(float(points[g][1][row]), key, groups[g][1][row], points[g][0][row])
-                for g, row, key in (locate[i] for i in order[job[order]])]
+        jobs = [(float(points[g][1][row]), key, groups[g][4][row, groups[g][3][row]:].T,
+                 points[g][0][row]) for g, row, key in (locate[i] for i in order[job[order]])]
         return None, _REASONS[codes], jobs
 
     def _least_squares(self, key):
@@ -688,8 +704,7 @@ class _SearchContext:
         return model, "" if model is not None else reasons[0], jobs[0] if jobs else None
 
     def _model_from_solution(self, assignment, z) -> LhvLhsModel | None:
-        """The model of a point z that _cone_codes puts inside every cone, if
-        it verifies."""
+        """The model of a point z, weights clipped at zero, if it verifies."""
         d = len(assignment)
         q = np.clip(z[:d], 0.0, None)
         s = z[d:].reshape(d, 3)
@@ -706,22 +721,16 @@ class _SearchContext:
         ok, _ = verify_lhv_lhs(model, self.box, self.tol)
         return model if ok else None
 
-    def _refine(self, assignment, a_mat, z0) -> LhvLhsModel | None:
-        """Minimize the worst cone violation t over the solution affine space,
-        subject to t + q_l - |s_l| >= 0 for every class (which implies
-        q_l + t >= 0).  Can only ever *find* models, never prove their
-        absence."""
+    def _refine(self, assignment, null, z0) -> LhvLhsModel | None:
+        """Minimize the worst cone violation t over the solution affine space
+        z0 + span(null), null from _set_group, subject to t + q_l - |s_l| >= 0
+        for every class (so q_l + t >= 0); verification alone accepts the end
+        point.  Can only ever *find* models, never prove their absence."""
         # Imported here, as in rac.optimize_rac, so a search that never
         # refines loads no scipy.
         from scipy import optimize
 
-        d = len(assignment)
-        _, sv, vt = np.linalg.svd(a_mat)
-        rank = int(np.sum(sv > 1e-12 * max(float(sv[0]), 1.0)))
-        null = vt[rank:].T
-        k = null.shape[1]
-        if k == 0:
-            return None
+        d, k = len(assignment), null.shape[1]
         null_q = null[:d]
         null_s = null[d:].reshape(d, 3, k)
 
@@ -743,8 +752,7 @@ class _SearchContext:
             jac[:, :k] = null_q - np.einsum("li,lik->lk", s / norms[:, None], null_s)
             return jac
 
-        objective_grad = np.zeros(k + 1)
-        objective_grad[k] = 1.0
+        objective_grad = np.eye(k + 1)[k]
         # A box on the cone boundary has its optimum at t = 0 and is
         # approached slowly: ftol, an absolute change in t, must lie far
         # below BLOCH_SLACK, and a few hundred iterations may be needed.  A
@@ -753,17 +761,14 @@ class _SearchContext:
             x0 = np.zeros(k + 1)
             x0[k] = max(0.0, float(-margins(x0).min())) + 1e-6
             x = optimize.minimize(
-                lambda x: x[k],
-                x0,
-                jac=lambda x: objective_grad,
+                lambda x: x[k], x0, jac=lambda x: objective_grad, method="SLSQP",
                 constraints=[{"type": "ineq", "fun": margins, "jac": margins_jac}],
-                method="SLSQP",
                 options={"maxiter": 1000, "ftol": 1e-16},
             ).x
         except _Interior as interior:
             x = interior.args[0]
         z = z0 + null @ x[:k]
-        model = self._model_from_solution(assignment, z) if _cone_codes(z, d)[0] == 4 else None
+        model = self._model_from_solution(assignment, z)
         keep = z[:d] > WEIGHT_SLACK
         if model is not None or keep.all() or not keep.any():
             return model
@@ -778,10 +783,11 @@ class _SearchContext:
     # -- constructive feasibility lanes --------------------------------------
 
     def product_lane(self) -> tuple[LhvLhsModel | None, str | None]:
-        """d = 1: the box can only be the product of its own marginals.
+        """One class: the box can only be the product of its own marginals.
 
-        Returns (model, None) when the product model verifies.  Otherwise the
-        reason is sound whenever it is not None: any one-class model within
+        Returns (model, None) when the product model verifies; a one-class
+        model is a model at every d.  Otherwise the reason is sound for d = 1
+        whenever it is not None: any one-class model within
         tol of the box has its Alice table pinned to the Alice marginal and
         its Bob statistics pinned to the Bob marginal (both to a small
         multiple of tol), so a large enough defect in the forced candidate
@@ -795,9 +801,7 @@ class _SearchContext:
         nr = float(np.linalg.norm(r))
         if nr <= 1.0 + BLOCH_SLACK:
             state = r / nr if nr > 1.0 else r
-            model = self._verified(LhvLhsModel(
-                1, np.array([1.0]), alice[None, :, :], state[None, :], self.dirs
-            ))
+            model = self._verified(LhvLhsModel(1, np.ones(1), alice[None], state[None], self.dirs))
             if model is not None:
                 return model, None
         residual = float(np.abs(self.dirs.directions @ r - bias).max())
@@ -811,37 +815,25 @@ class _SearchContext:
         return None, None
 
     def construct_two_class(self) -> LhvLhsModel | None:
-        """Rank-1 boxes with uniform marginals: split by the dominant
-        setting's answer and mirror the Bob states across the origin."""
-        if not (self.uniform_alice and self.uniform_bob):
+        """Rank-1 boxes with uniform marginals, where Cov = C: split by the
+        dominant setting's answer and mirror the Bob states across the
+        origin.  A covariance within tol of zero is left to the product lane."""
+        if not (self.uniform_alice and self.uniform_bob) or self.svals[0] <= self.tol:
             return None
         if self.svals.shape[0] > 1 and self.svals[1] > 16.0 * self.tol:
             return None
-        if self.svals[0] <= self.tol:
-            e_a = np.zeros(self.n)
-            target = np.zeros(self.n)
-        else:
-            uu, ss, vv = np.linalg.svd(self.C)
-            u = ss[0] * uu[:, 0]
-            v = vv[0]
-            alpha = float(np.abs(u).max())
-            e_a = u / alpha
-            if e_a[int(np.argmax(np.abs(u)))] < 0.0:
-                e_a, v = -e_a, -v
-            target = alpha * v
+        u, v = self.svals[0] * self.cov_u[:, 0], self.cov_vt[0]
+        alpha = float(np.abs(u).max())
+        e_a = u / alpha
+        if e_a[int(np.argmax(np.abs(u)))] < 0.0:
+            e_a, v = -e_a, -v
+        target = alpha * v
         r = np.linalg.lstsq(self.dirs.directions, target, rcond=None)[0]
         if float(np.linalg.norm(r)) > 1.0 + BLOCH_SLACK:
             return None
-        table_a = np.stack([(1.0 + e_a) / 2.0, (1.0 - e_a) / 2.0], axis=-1)
-        table_b = np.stack([(1.0 - e_a) / 2.0, (1.0 + e_a) / 2.0], axis=-1)
-        model = LhvLhsModel(
-            2,
-            np.array([0.5, 0.5]),
-            np.stack([table_a, table_b]),
-            np.stack([r, -r]),
-            self.dirs,
-        )
-        return self._verified(model)
+        table = np.stack([(1.0 + e_a) / 2.0, (1.0 - e_a) / 2.0], axis=-1)
+        tables, states = np.stack([table, table[:, ::-1]]), np.stack([r, -r])
+        return self._verified(LhvLhsModel(2, np.array([0.5, 0.5]), tables, states, self.dirs))
 
 
 def search_lhs_bounded(
@@ -858,16 +850,21 @@ def search_lhs_bounded(
     responses by grouping d' <= 2^n deterministic strategies into d classes
     sharing a Bob state each.
 
-    A blanket reason retires every case at once: a model-universal
-    correlator obstruction; at d = 1 the product-lane proof; or else, at
-    d = 2^n, phase 1's one answer: a sound rejection, or "unresolved" when
-    neither a model nor a proof came out.  Otherwise the points inside the
-    cones are verified in order of first appearance, then the non-unique
-    ones left without a model are refined, least worst cone violation
-    max_l(|s_l| - q_l) first, ties in that order; a refinement only finds
-    models, so the trace is as if each set were solved in turn.  Every other
-    case takes the blanket reason or is reported unresolved, in a CaseTrace
-    over the (n, d) labels.  A certificate passes its context as _context.
+    Before phase 1 the product lane runs at d = 1, and at every d where
+    sigma_1(Cov) is within the margin of zero, as for every box within tol
+    of a one-class model (a model at every d); then, at d >= 2, the rank-1
+    two-class lane on uniform marginals.  A blanket reason retires every
+    case at once: a model-universal correlator obstruction; at d = 1 the
+    product-lane proof; or else, at d = 2^n, phase 1's one answer: a sound
+    rejection, or "unresolved" when neither a model nor a proof came out.
+    Otherwise the points inside the cones are verified in order of first
+    appearance, then the non-unique ones left without a model are refined
+    in their table's null space, least worst cone violation max_l(|s_l| -
+    q_l) first, ties in that order; verification alone accepts an end
+    point, and a refinement only finds models, so the trace is as if each
+    set were solved in turn.  Every other case takes the blanket reason or
+    is reported unresolved, in a CaseTrace over the (n, d) labels.  A
+    certificate passes its context as _context.
 
     Returns:
         A verified LhvLhsModel, or an InfeasibilityTrace listing every case
@@ -892,14 +889,17 @@ def search_lhs_bounded(
     blanket = ctx.universal_reason(d)
 
     # Constructive fast lanes (every returned model has been re-verified).
-    # At d = 1 a sound product-lane reason covers every one-class model.
-    if blanket is None:
-        if d == 1:
-            model, blanket = ctx.product_lane()
-        else:
-            model = ctx.construct_two_class()
-        if model is not None:
-            return model
+    # A one-class model is a model at every d, and a box within tol of one
+    # has sigma_1(Cov) within the margin; a sound product-lane reason covers
+    # every one-class model, so it retires every case at d = 1 alone.
+    model = None
+    if blanket is None and (d == 1 or ctx.svals[0] <= ctx.margin):
+        model, reason = ctx.product_lane()
+        blanket = reason if d == 1 else None
+    if model is None and blanket is None and d > 1:
+        model = ctx.construct_two_class()
+    if model is not None:
+        return model
 
     labels, sizes, set_of, order, locate = _case_table(box.n, d)
     # At the top dimension the all-distinct assignment is fully general, so

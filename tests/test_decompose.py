@@ -321,6 +321,48 @@ class TestVerifyModel:
             with pytest.raises(InvalidModel, match=message):
                 verify_lhv_lhs(bad, target, 1e-9)
 
+    def test_inconsistent_counts_rejected(self):
+        """A model whose dimension, weights, tables and states disagree in
+        count is a structural error, not a match and not a broadcast
+        mismatch: the two-class model relabelled as one class, one Alice
+        table for two weights, tables of three settings on two directions,
+        and a model of no class at all."""
+        from unsteer import LhvLhsModel
+
+        good = build_lhs_model_2set(BellDiagonalParams(0.6, 0.4, -0.2))
+        target = box_from_state(
+            bell_diagonal(two_set_remainder(BellDiagonalParams(0.6, 0.4, -0.2))),
+            pauli_axes(2),
+            pauli_axes(2),
+        )
+        assert verify_lhv_lhs(good, target, 1e-9)[0]
+        tables = good.alice_tables
+        for dimension, alice in ((1, tables), (2, tables[:1]), (2, tables[:, [0, 1, 1]])):
+            bad = LhvLhsModel(dimension, good.weights, alice, good.bob_states, good.bob_directions)
+            with pytest.raises(InvalidModel, match="expects weights, tables and states"):
+                verify_lhv_lhs(bad, target, 1e-9)
+        empty = LhvLhsModel(0, np.zeros(0), tables[:0], good.bob_states[:0], good.bob_directions)
+        with pytest.raises(InvalidModel, match="expects weights, tables and states"):
+            verify_lhv_lhs(empty, target, 1e-9)
+
+    def test_non_finite_entries_rejected(self):
+        """A NaN or infinite weight, table entry or Bloch component is a
+        structural error, not a deviation of NaN."""
+        from unsteer import LhvLhsModel
+
+        good = build_lhs_model_2set(BellDiagonalParams(0.6, 0.4, -0.2))
+        target = box_from_state(
+            bell_diagonal(two_set_remainder(BellDiagonalParams(0.6, 0.4, -0.2))),
+            pauli_axes(2),
+            pauli_axes(2),
+        )
+        for part, value in ((0, np.nan), (1, np.nan), (2, np.inf)):
+            parts = [good.weights.copy(), good.alice_tables.copy(), good.bob_states.copy()]
+            parts[part].flat[0] = value
+            bad = LhvLhsModel(2, *parts, good.bob_directions)
+            with pytest.raises(InvalidModel, match="not finite"):
+                verify_lhv_lhs(bad, target, 1e-9)
+
     def test_detects_wrong_target(self):
         """A correct model against the wrong box reports a large deviation."""
         model = build_lhs_model_2set(BellDiagonalParams(0.6, 0.4, -0.2))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from unsteer import (
 from unsteer.decompose import (
     CaseTrace,
     _case_table,
+    _cone_codes,
     _Interior,
     _SearchContext,
     _set_group,
@@ -330,18 +332,21 @@ class TestSearchMechanics:
         assert trace.sound == trace.exhaustive == (forced != "unresolved")
 
 
-def count_system_lstsq(monkeypatch, n):
-    """Patch np.linalg.lstsq to record each call on a system matrix of the
-    n-setting search (4 n^2 + 1 rows) by the matrix's bytes."""
+def count_factored_sets(monkeypatch, n):
+    """Patch np.linalg.svd and np.linalg.lstsq to record each system matrix
+    of the n-setting search (4 n^2 + 1 rows) they factor, one by one or
+    stacked, by the matrix's bytes."""
     calls = []
-    lstsq = np.linalg.lstsq
 
-    def counting_lstsq(a, *args, **kwargs):
-        if a.shape[0] == 4 * n * n + 1:
-            calls.append(a.tobytes())
-        return lstsq(a, *args, **kwargs)
+    def counting(factor):
+        def counted(a, *args, **kwargs):
+            if np.shape(a)[-2:-1] == (4 * n * n + 1,):
+                calls.extend(m.tobytes() for m in np.reshape(a, (-1, *np.shape(a)[-2:])))
+            return factor(a, *args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "lstsq", counting(np.linalg.lstsq))
     return calls
 
 
@@ -351,7 +356,9 @@ class TestFactoredSystems:
         """For Pauli and random directions and every nonempty strategy set,
         _least_squares on Bell-diagonal, mixed and k-class model boxes gives
         the reason and rank of a direct lstsq against the box, and its
-        pseudo-inverse point lies within 1e-12 of lstsq's."""
+        pseudo-inverse point lies within 1e-12 of lstsq's.  A refinement
+        job's null basis is a view of the table's V^T with 4k - rank
+        orthonormal columns that the set's system maps to zero."""
         rng = np.random.default_rng(211 + n)
         strategies = deterministic_strategies(n)
         sets = [
@@ -359,7 +366,7 @@ class TestFactoredSystems:
             for size in range(1, 2**n + 1)
             for subset in itertools.combinations(strategies, size)
         ]
-        seen = set()
+        seen, jobs = set(), 0
         for dirs in (pauli_axes(n), MeasurementSet(random_unit_vectors(rng, n))):
             blocks = coefficient_blocks_loops(strategies, dirs.directions)
             rho = bell_diagonal(BellDiagonalParams(*random_physical_triple(rng)))
@@ -374,7 +381,9 @@ class TestFactoredSystems:
                 ctx = _SearchContext(Box(n, p), dirs, 1e-9)
                 for key in sets:
                     _, reason, job = ctx._least_squares(key)
-                    keys, a_stack, pinv_stack, ranks = _set_group(ctx.dir_bytes, n, len(key))
+                    keys, a_stack, pinv_stack, ranks, vt_stack = _set_group(
+                        ctx.dir_bytes, n, len(key)
+                    )
                     row = keys.index(key)
                     z = pinv_stack[row] @ ctx.rhs
                     want, want_rank, want_z = least_squares_lstsq(
@@ -383,26 +392,31 @@ class TestFactoredSystems:
                     assert (reason, ranks[row]) == (want, want_rank), key
                     assert np.abs(z - want_z).max() <= 1e-12, key
                     if job is not None:
-                        assert job[1] == key and np.shares_memory(job[2], a_stack)
-                        assert np.array_equal(job[2], a_stack[row])
+                        null = job[2]
+                        assert job[1] == key and np.shares_memory(null, vt_stack)
+                        assert null.shape == (4 * len(key), 4 * len(key) - want_rank), key
+                        assert np.abs(a_stack[row] @ null).max() <= 1e-12, key
+                        assert np.abs(null.T @ null - np.eye(null.shape[1])).max() <= 1e-12
                         assert np.array_equal(job[3], z)
+                        jobs += 1
                     seen.add(reason)
         assert {"", "reconstruction_residual", "unresolved"} <= seen
+        assert jobs > 0
 
     def test_cached_arrays_are_read_only(self):
         """Every array of both process-wide tables refuses writes, at n = 2
-        and 3: each size's stacked system matrices, pseudo-inverses and
-        ranks, and each (n, d)'s assignment-to-set map and first-appearance
+        and 3: each size's stacked system matrices, pseudo-inverses, ranks
+        and V^T, and each (n, d)'s assignment-to-set map and first-appearance
         order; every other part of either table is a tuple."""
         arrays, parts = [], []
         for n in (2, 3):
             directions = pauli_axes(n).directions.tobytes()
             for k in range(1, 2**n + 1):
                 group, table = _set_group(directions, n, k), _case_table(n, k)
-                assert len(group) == 4 and len(table) == 5
+                assert len(group) == 5 and len(table) == 5
                 arrays += group[1:] + table[2:4]
                 parts += [group[0], table[0], table[1], table[4]]
-        assert len(arrays) == 5 * 12
+        assert len(arrays) == 6 * 12
         for array in arrays:
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1
@@ -440,11 +454,11 @@ class TestFactoredSystems:
         assert {type(result) for result in fresh} == {dict, tuple}
 
     def test_second_certificate_factors_no_set_again(self, monkeypatch):
-        """A second certificate at the same (n, d_A), on another box, calls
-        lstsq on no system matrix, its refinements' zero-weight retries
+        """A second certificate at the same (n, d_A), on another box, factors
+        no system matrix, its refinements and their zero-weight retries
         included: every strategy set it solves was factored by the first,
         each exactly once."""
-        calls = count_system_lstsq(monkeypatch, 2)
+        calls = count_factored_sets(monkeypatch, 2)
         retries = []
         least_squares = _SearchContext._least_squares
 
@@ -468,7 +482,7 @@ class TestFactoredSystems:
         most the 92 sets of sizes 1 to 3 and the all-distinct set, each once:
         a size is factored only when a search needs it.  A box retired at
         d_A by the rank obstruction factors the all-distinct set alone."""
-        calls = count_system_lstsq(monkeypatch, 3)
+        calls = count_factored_sets(monkeypatch, 3)
         axes = pauli_axes(3)
         boxes = {
             SUPERUNSTEERABLE: bd_box(0.3, 0.3, -0.3, n=3),
@@ -543,15 +557,24 @@ class TestCaseTrace:
         assert phase1.cases.tail == "unresolved" and not phase1.sound
 
 
+def fast_lane_model(ctx):
+    """The model of search_lhs_bounded's lanes below 2^n without a blanket
+    reason, in its order: the product lane where sigma_1(Cov) is within the
+    margin, then the two-class lane."""
+    model = ctx.product_lane()[0] if ctx.svals[0] <= ctx.margin else None
+    return model if model is not None else ctx.construct_two_class()
+
+
 def one_assignment_at_a_time(box, dirs, d, tol=1e-9):
     """Reference search below 2^n: phase 1 as one direct lstsq of each
     assignment's own system (tests/oracles.py), repeated strategies kept, in
-    enumeration order, each refined before the next is tried, then the same
-    blanket, labels and flags as search_lhs_bounded."""
+    enumeration order, each refined before the next is tried in the null
+    space of its own SVD under lstsq's rank, then the same blanket, labels
+    and flags as search_lhs_bounded."""
     ctx = _SearchContext(box, dirs, tol)
     blanket = ctx.universal_reason(d)
     if blanket is None:
-        model = ctx.construct_two_class()
+        model = fast_lane_model(ctx)
         if model is not None:
             return model
     reasons = []
@@ -566,7 +589,7 @@ def one_assignment_at_a_time(box, dirs, d, tol=1e-9):
                     [blocks[s][:, :1] for s in assignment] + [blocks[s][:, 1:] for s in assignment],
                     axis=1,
                 )
-                model = ctx._refine(assignment, a_mat, z)
+                model = ctx._refine(assignment, np.linalg.svd(a_mat)[2][rank:].T, z)
             if model is not None:
                 return model
             reasons.append(reason or "unresolved")
@@ -585,7 +608,7 @@ def one_set_at_a_time(box, dirs, d, tol=1e-9):
     ctx = _SearchContext(box, dirs, tol)
     blanket = ctx.universal_reason(d)
     if blanket is None:
-        model = ctx.construct_two_class()
+        model = fast_lane_model(ctx)
         if model is not None:
             return model
     reasons = []
@@ -616,14 +639,14 @@ def record_refinements(monkeypatch):
     calls, depth = [], []
     refine = _SearchContext._refine
 
-    def recording_refine(ctx, assignment, a_mat, z0):
+    def recording_refine(ctx, assignment, null, z0):
         if not depth:
             d = len(assignment)
             violation = (np.linalg.norm(z0[d:].reshape(d, 3), axis=1) - z0[:d]).max()
             calls.append((float(violation), assignment))
         depth.append(assignment)
         try:
-            return refine(ctx, assignment, a_mat, z0)
+            return refine(ctx, assignment, null, z0)
         finally:
             depth.pop()
 
@@ -704,13 +727,21 @@ class TestTwoPassPhaseOne:
         early strategy set's least-squares point is not unique and leaves the
         cones, a later one's is a model.  That later model, the first over
         the distinct strategy sets in order of first appearance, is returned,
-        and no refinement runs."""
+        and no refinement runs.  A box whose two classes share their
+        strategy is a product box, and the product lane's one-class model,
+        which runs first, is returned instead."""
         calls = record_refinements(monkeypatch)
         rng = np.random.default_rng(2)
+        phase_one = 0
         for i in range(12):
             box = Box(2, random_model_box(rng, 2, pauli_axes(2), "deterministic"))
             result = search_lhs_bounded(box, pauli_axes(2), 3)
             assert calls == [], i
+            ctx = _SearchContext(box, pauli_axes(2), 1e-9)
+            if ctx.svals[0] <= ctx.margin:
+                assert result.to_json_dict() == ctx.product_lane()[0].to_json_dict(), i
+                continue
+            phase_one += 1
             strategies = deterministic_strategies(2)
             blocks = coefficient_blocks_loops(strategies, pauli_axes(2).directions)
             keys = dict.fromkeys(
@@ -726,6 +757,7 @@ class TestTwoPassPhaseOne:
             assert result.alice_tables.tolist() == [strategy_table(s).tolist() for s in key], i
             assert np.abs(result.weights - z[: len(key)] / z[: len(key)].sum()).max() <= 1e-12, i
             assert verify_lhv_lhs(result, box, 1e-9)[0], i
+        assert phase_one >= 9
 
     def test_refinements_run_least_violated_first(self, monkeypatch):
         """Four-class stochastic model boxes at n = 2, d = 3, several with no
@@ -886,6 +918,54 @@ class TestTopDimension:
         ok, dev = verify_lhv_lhs(result, box, 1e-9)
         assert ok, dev
 
+    def test_refinement_end_point_judged_by_verification(self, monkeypatch):
+        """A refinement whose end point lies 1e-9 outside a Bloch cone, yet
+        builds a model within tol of the box once that class's Bloch vector
+        is pulled back onto the sphere, returns the end point's model itself,
+        not a retry on the classes of nonzero weight.  The box is a
+        two-class model's on Pauli axes at n = 2 with Bob states in the x-y
+        plane, so moving a class's s_l along z-hat stays in the null space of
+        the all-distinct system; SLSQP is replaced by that move."""
+        strategies = deterministic_strategies(2)
+        weights, states = np.array([0.4, 0.6]), np.array([[0.6, 0.8, 0.0], [-0.8, 0.6, 0.0]])
+        tables = np.stack([strategy_table(strategies[j]) for j in (1, 2)])
+        box = LhvLhsModel(2, weights, tables, states, pauli_axes(2)).reconstruct_box()
+        exact = np.zeros(16)
+        exact[[1, 2]] = weights
+        exact[4:].reshape(4, 3)[[1, 2]] = weights[:, None] * states
+        start, end = exact.copy(), exact.copy()
+        start[4 + 3 + 2], end[4 + 3 + 2] = 0.5, np.sqrt(2.0 * 0.4 * 1e-9)
+        _, a_stack, _, ranks, vt_stack = _set_group(pauli_axes(2).directions.tobytes(), 2, 4)
+        null = vt_stack[0, ranks[0]:].T
+        assert np.abs(a_stack[0] @ (end - start)).max() == 0.0
+        assert _cone_codes(end, 4)[0] == 2 and 5e-10 < _cone_codes(end, 4)[1] < 2e-9
+        x = np.append(null.T @ (end - start), 0.0)
+        monkeypatch.setattr(scipy.optimize, "minimize", lambda *args, **kwargs: SimpleNamespace(x=x))
+        result = _SearchContext(box, pauli_axes(2), 1e-9)._refine(strategies, null, start)
+        assert isinstance(result, LhvLhsModel) and result.dimension == 4
+        assert result.weights.tolist() == pytest.approx([0.0, 0.4, 0.6, 0.0], abs=1e-14)
+        assert np.linalg.norm(result.bob_states[1]) == pytest.approx(1.0, abs=1e-15)
+        assert verify_lhv_lhs(result, box, 1e-9)[0]
+
+    def test_found_box_gets_a_model_at_the_top(self):
+        """The one-class box on three random directions whose top search once
+        ended "unresolved", its refinement's end point just outside a cone
+        although the model built from it verifies, gets a verified model at
+        d = 8, as at every other d."""
+        first = np.array([0.8722059324186384, 0.11566955528872946, 0.32469010660858755])
+        state = np.array([[-0.5032511618824713, -0.10286719347110525, 0.8579956926298179]])
+        dirs = MeasurementSet(np.array([
+            [0.9721236811898034, -0.19615137860134127, 0.1284530464519189],
+            [-0.022394791138282594, -0.42246398372202837, 0.9061030050648692],
+            [-0.1404986780920747, -0.9454172953487978, -0.2940174469478701],
+        ]))
+        tables = np.stack([first, 1.0 - first], axis=-1)[None]
+        box = Box(3, model_box_loops(np.ones(1), tables, state, dirs.directions))
+        for d in range(1, 9):
+            result = search_lhs_bounded(box, dirs, d)
+            assert isinstance(result, LhvLhsModel), d
+            assert verify_lhv_lhs(result, box, 1e-9)[0], d
+
     def test_norm_obstruction_at_top_dimension(self):
         """sum_y C(y,y)^2 > 1 rules out every dimension, PR box included."""
         trace = search_lhs_bounded(pr_box(), pauli_axes(2), 4)
@@ -967,6 +1047,22 @@ class TestTopDimension:
             outcomes.add(type(result).__name__)
         assert "InfeasibilityTrace" in outcomes
 
+    def test_zero_covariance_left_to_the_product_lane(self):
+        """Uniform Alice times a Bob bias of 1e-9 off the plane of three
+        coplanar directions: the covariance is exactly zero and the
+        marginals count as uniform, yet no Bloch vector gives the bias, so
+        at tol = 1e-12 the product lane finds no model.  The two-class lane
+        leaves a zero covariance to it, and the search at d = 2 ends in a
+        trace."""
+        dirs = MeasurementSet(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [SQRT_HALF, SQRT_HALF, 0.0]]))
+        bias = np.array([0.0, 0.0, 1e-9])
+        bob = np.stack([(1.0 + bias) / 2.0, (1.0 - bias) / 2.0], axis=-1)
+        box = Box(3, np.einsum("xa,yb->xyab", np.full((3, 2), 0.5), bob))
+        ctx = _SearchContext(box, dirs, 1e-12)
+        assert ctx.svals[0] == 0.0 and ctx.uniform_alice and ctx.uniform_bob
+        assert ctx.product_lane()[0] is None and ctx.construct_two_class() is None
+        assert isinstance(search_lhs_bounded(box, dirs, 2, tol=1e-12), InfeasibilityTrace)
+
     def test_product_lane_bloch_norm_proof(self):
         """Uniform Alice with p(b=0|y) = 1 on three orthogonal axes needs a
         Bob Bloch vector of norm sqrt(3), which the d = 1 lane rejects."""
@@ -1001,6 +1097,73 @@ class TestTopDimension:
             with pytest.raises(OutOfRange, match="tol must be finite"):
                 search_lhs_bounded(box, pauli_axes(2), 4, tol=tol)
         assert isinstance(search_lhs_bounded(box, pauli_axes(2), 4, tol=1e-12), LhvLhsModel)
+
+
+def one_class_box(rng, i, n, dirs):
+    """The box of a random one-class model on Bob directions `dirs`: a
+    product state's on Pauli or random Alice axes (even i), or a random
+    stochastic Alice table's with a random pure or mixed Bob state."""
+    if i % 2:
+        return random_model_box(rng, 1, dirs, "stochastic")
+    a, b = random_unit_vectors(rng, 2) * rng.uniform(0.0, 1.0, size=(2, 1))
+    alice = pauli_axes(n) if i % 4 == 0 else MeasurementSet(random_unit_vectors(rng, n))
+    return box_from_state(np.kron(state_from_bloch(a), state_from_bloch(b)), alice, dirs).p
+
+
+class TestOneClassModels:
+    def test_search_finds_a_model_at_every_dimension(self):
+        """Falsification: the box of a random one-class model, on Pauli or
+        random Bob directions, gets a verified model from search_lhs_bounded
+        at every d in [1, 2^n]: a one-class model is a model at every d."""
+        rng = np.random.default_rng(229)
+        for i in range(24):
+            n = 2 + i % 2
+            dirs = pauli_axes(n) if i % 8 < 4 else MeasurementSet(random_unit_vectors(rng, n))
+            box = Box(n, one_class_box(rng, i // 2, n, dirs))
+            for d in range(1, 2**n + 1):
+                result = search_lhs_bounded(box, dirs, d)
+                assert isinstance(result, LhvLhsModel), (i, d)
+                assert verify_lhv_lhs(result, box, 1e-9)[0], (i, d)
+
+    def test_certified_classical_at_every_dimension(self):
+        """The box of the product of Alice's (0.6, 0.3, 0) and Bob's
+        (0.2, 0.5, 0) on Pauli axes, and of random one-class models on Pauli
+        Bob axes, is CLASSICAL_AT_DIMENSION at every d_A, with a verified
+        model."""
+        rng = np.random.default_rng(233)
+        for i in range(13):
+            n = 2 + i % 2
+            if i < 2:
+                p = box_from_state(product_state(), pauli_axes(n), pauli_axes(n)).p
+            else:
+                p = one_class_box(rng, i // 2, n, pauli_axes(n))
+            box = Box(n, p)
+            for d_a in range(1, 2**n + 1):
+                cert = certify_quantumness(box, n, d_a)
+                assert cert.verdict == CLASSICAL_AT_DIMENSION, (i, d_a)
+                assert verify_lhv_lhs(cert.model, box, 1e-9)[0], (i, d_a)
+
+    def test_product_lane_reason_proves_nothing_above_one_class(self):
+        """Two deterministic classes of weight 1/2 on Pauli axes at n = 3
+        that differ only on x = 0, with Bob states 5.6e-8 apart along z-hat:
+        Cov has the one entry (0, 2) = 2.8e-8, within the margin, so the
+        product lane runs at every d, and the product misses the box by
+        7e-9 > 5 tol, a sound reason at d = 1.  At every d >= 2 that reason
+        is discarded and the box's own two-class model is found."""
+        strategies = deterministic_strategies(3)
+        pair = [s for s in strategies if s[1:] == strategies[0][1:]]
+        tables = np.stack([strategy_table(s) for s in pair])
+        states = np.array([0.2, 0.3, -0.1]) + np.outer([1.0, -1.0], [0.0, 0.0, 2.8e-8])
+        box = LhvLhsModel(2, np.array([0.5, 0.5]), tables, states, pauli_axes(3)).reconstruct_box()
+        ctx = _SearchContext(box, pauli_axes(3), 1e-9)
+        assert ctx.svals[1] < 1e-15 < ctx.svals[0] <= ctx.margin
+        assert ctx.product_lane() == (None, "reconstruction_residual")
+        trace = search_lhs_bounded(box, pauli_axes(3), 1)
+        assert trace.sound and trace.exhaustive
+        for d in range(2, 9):
+            result = search_lhs_bounded(box, pauli_axes(3), d)
+            assert isinstance(result, LhvLhsModel), d
+            assert verify_lhv_lhs(result, box, 1e-9)[0], d
 
 
 class TestCertificates:
