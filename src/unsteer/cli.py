@@ -36,6 +36,7 @@ from .boxes import (
 from .decompose import (
     ATOL_CANONICAL,
     DEFAULT_TOL,
+    _TraceEntry,
     _check_tol,
     canonical_split_2set,
     canonical_split_3set,
@@ -143,6 +144,10 @@ def dumps_deterministic(obj) -> str:
         )
         return "{" + body + "}"
     if isinstance(obj, (list, tuple)):
+        if all(type(item) is _TraceEntry for item in obj):
+            # A certificate's trace: str -> str entries, which the C encoder
+            # quotes and sorts exactly as the walk below does.
+            return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
         return "[" + ",".join(map(dumps_deterministic, obj)) + "]"
     # None, bools and ints; anything else is a TypeError.
     return json.dumps(obj)

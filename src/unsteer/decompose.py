@@ -197,6 +197,45 @@ class CaseTrace(Sequence):
         return hash(tuple(self))
 
 
+class _TraceEntry(dict):
+    """One {"case", "violated"} entry of a certificate's JSON trace, shared
+    by every certificate that lists it, so every mutator raises TypeError.
+    It pickles and copies as the plain, mutable dict of its items."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("trace entries are shared and read-only; dict(entry) is a mutable copy")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    update = pop = popitem = setdefault = clear = _read_only
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
+@functools.lru_cache(maxsize=16)  # every (n, d, reason) of a workload: 7 on search-enumerate
+def _trace_entries(n: int, d: int, reason: str) -> tuple[_TraceEntry, ...]:
+    """The entry of every (n, d) case label with one reason, built once per
+    process when a certificate first lists that reason as a trace's tail."""
+    return tuple(_TraceEntry(case=label, violated=reason) for label in _case_table(n, d).labels)
+
+
+def _trace_json(cases) -> list:
+    """A fresh list of one entry per (label, reason) pair of `cases`.  For a
+    CaseTrace over a search's (n, d) label table, read off its first label,
+    the head's entries are built here and the tail's taken from
+    _trace_entries; any other pairs get an entry each."""
+    if isinstance(cases, CaseTrace) and cases.labels:
+        names = cases.labels[0].removeprefix("deterministic:").split("+")
+        n, d = len(names[0]), len(names)
+        if n in (2, 3) and d <= 2**n and _case_table(n, d).labels is cases.labels:
+            entries = [_TraceEntry(case=c, violated=v) for c, v in zip(cases.labels, cases.head)]
+            entries += _trace_entries(n, d, cases.tail)[len(entries):]
+            return entries
+    return [_TraceEntry(case=c, violated=v) for c, v in cases]
+
+
 @dataclass(frozen=True)
 class InfeasibilityTrace:
     """Per-case rejection record of a failed bounded search.
@@ -229,7 +268,7 @@ class Certificate:
             "d_A": int(self.d_A),
             "functional": float(self.functional),
             "model": self.model.to_json_dict() if self.model is not None else None,
-            "trace": [{"case": c, "violated": v} for c, v in self.trace],
+            "trace": _trace_json(self.trace),
         }
 
 
@@ -525,35 +564,45 @@ def _sorted_partitions(items: tuple, k: int):
             yield ((items[0], *subset), *tail)
 
 
-@functools.lru_cache(maxsize=None)
-def _case_table(n: int, d: int):
-    """(labels, sizes, set_of, order, locate) of a search at (n, d), from one
-    enumeration of its slot assignments.  labels: every case label in trace
-    order, the phase-1 assignments lexicographically, then the phase-2
+class _CaseTable:
+    """The case table of a search at (n, d).  sizes: the sizes whose
+    _set_group sets, concatenated, phase 1 solves (the all-distinct set alone
+    at d = 2^n).  set_of: each slot assignment's set of distinct strategies
+    as an index among them.  order: the indices in order of first
+    appearance.  locate: each (group, row, set).  labels, built on first
+    read, so a search that returns a model builds none: every case label in
+    trace order, the phase-1 assignments lexicographically, then the phase-2
     groupings sorted by (d', subset, partition); strategy names are
-    equal-length bit strings, so they sort as the strategies do.  sizes: the
-    sizes whose _set_group sets, concatenated, phase 1 solves (the
-    all-distinct set alone at d = 2^n).  set_of: each assignment's set of
-    distinct strategies as an index among them.  order: the indices in order
-    of first appearance.  locate: each (group, row, set)."""
-    strategies, top = deterministic_strategies(n), d == 2**n
-    names = {s: "".join(map(str, s)) for s in strategies}
-    assignments = tuple(itertools.combinations_with_replacement(strategies, d))
-    labels = ["deterministic:" + "+".join(map(names.get, a)) for a in assignments]
-    for d_prime in range(d + 1, len(strategies) + 1):
-        for subset in itertools.combinations(names.values(), d_prime):
-            labels += (
-                "grouped:" + "|".join(map(",".join, partition))
-                for partition in _sorted_partitions(subset, d)
-            )
-    sizes = (d,) if top else tuple(range(1, d + 1))
-    locate = tuple((g, row, key) for g, k in enumerate(sizes)
-                   for row, key in enumerate(itertools.combinations(strategies, k)))
-    index = {key: i for i, (*_, key) in enumerate(locate)}
-    set_of = np.array([index[tuple(dict.fromkeys(a))] for a in ([strategies] if top else assignments)])
-    order = np.array(list(dict.fromkeys(set_of.tolist())))
-    set_of.flags.writeable = order.flags.writeable = False
-    return tuple(labels), sizes, set_of, order, locate
+    equal-length bit strings, so they sort as the strategies do."""
+
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
+        strategies, top = deterministic_strategies(n), d == 2**n
+        self.sizes = (d,) if top else tuple(range(1, d + 1))
+        self.locate = tuple((g, row, key) for g, k in enumerate(self.sizes)
+                            for row, key in enumerate(itertools.combinations(strategies, k)))
+        index = {key: i for i, (*_, key) in enumerate(self.locate)}
+        assignments = [strategies] if top else itertools.combinations_with_replacement(strategies, d)
+        self.set_of = np.array([index[tuple(dict.fromkeys(a))] for a in assignments])
+        self.order = np.array(list(dict.fromkeys(self.set_of.tolist())))
+        self.set_of.flags.writeable = self.order.flags.writeable = False
+
+    @functools.cached_property
+    def labels(self) -> tuple[str, ...]:
+        strategies = deterministic_strategies(self.n)
+        names = {s: "".join(map(str, s)) for s in strategies}
+        labels = ["deterministic:" + "+".join(map(names.get, a))
+                  for a in itertools.combinations_with_replacement(strategies, self.d)]
+        for d_prime in range(self.d + 1, len(strategies) + 1):
+            for subset in itertools.combinations(names.values(), d_prime):
+                labels += (
+                    "grouped:" + "|".join(map(",".join, partition))
+                    for partition in _sorted_partitions(subset, self.d)
+                )
+        return tuple(labels)
+
+
+_case_table = functools.lru_cache(maxsize=None)(_CaseTable)
 
 
 @functools.lru_cache(maxsize=12)  # every size of one n = 2 and one n = 3 direction set
@@ -631,7 +680,7 @@ class _SearchContext:
         self.margin = self.n * (12.0 + 16.0 * tol) * tol
         self.uniform_alice = np.abs(alice - 0.5).max() <= 1e-9
         self.uniform_bob = np.abs(bob - 0.5).max() <= 1e-9
-        self.orthonormal = bob_dirs.is_mub()
+        self.orthonormal = bob_dirs is _pauli_set(self.n) or bob_dirs.is_mub()
         self.diag_norm = float(np.sqrt((np.diag(corr) ** 2).sum()))
 
     # Built on first use: a search retired by a blanket reason never reads it.
@@ -901,26 +950,36 @@ def search_lhs_bounded(
     if model is not None:
         return model
 
-    labels, sizes, set_of, order, locate = _case_table(box.n, d)
+    table = _case_table(box.n, d)
     # At the top dimension the all-distinct assignment is fully general, so
     # phase 1 runs over it alone and its answer is every case's.
     reasons = ()
     if blanket is None:
-        groups = [_set_group(ctx.dir_bytes, box.n, k) for k in sizes]
-        model, reasons, jobs = ctx._solve(groups, order, locate)
+        groups = [_set_group(ctx.dir_bytes, box.n, k) for k in table.sizes]
+        model, reasons, jobs = ctx._solve(groups, table.order, table.locate)
         if model is not None:
             return model
         for job in sorted(jobs, key=lambda job: job[0]):
             model = ctx._refine(*job[1:])
             if model is not None:
                 return model
-        reasons = tuple(reasons[set_of])
+        reasons = tuple(reasons[table.set_of])
         if d == d_top:
             blanket, reasons = reasons[0], ()
 
-    cases = CaseTrace(labels, reasons, blanket or "unresolved")
+    cases = CaseTrace(table.labels, reasons, blanket or "unresolved")
     sound = "unresolved" not in cases.head and cases.tail != "unresolved"
     return InfeasibilityTrace(d, cases, sound, sound and blanket is not None)
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_set(n: int) -> MeasurementSet:
+    """certify_quantumness's Bob directions: the aligned Pauli set, built on
+    first use, once per n, and read-only.  It is orthonormal, so a search on
+    it runs no is_mub."""
+    axes = pauli_axes(n)
+    axes.directions.flags.writeable = False
+    return axes
 
 
 def certify_quantumness(
@@ -949,7 +1008,7 @@ def certify_quantumness(
     functional = steering_functional(box, n)
     if functional > 1.0 + 1e-9:
         return Certificate(WITNESSED_STEERABLE, d_A, functional, None, ())
-    ctx = _SearchContext(box, pauli_axes(n), tol)
+    ctx = _SearchContext(box, _pauli_set(n), tol)
     first = search_lhs_bounded(box, ctx.dirs, d_A, tol, _context=ctx)
     if isinstance(first, LhvLhsModel):
         return Certificate(CLASSICAL_AT_DIMENSION, d_A, functional, first, ())

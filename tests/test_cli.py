@@ -3,6 +3,7 @@
 import io
 import json
 import contextlib
+import math
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from unsteer.cli import (
     render_text,
     run,
 )
+from unsteer.decompose import UNDECIDED, CaseTrace, Certificate, _case_table, _TraceEntry
 from unsteer.rac import MIN_STEP
 
 UNIFORM_BOX = '{"n": 2, "p": ' + json.dumps(np.full((2, 2, 2, 2), 0.25).tolist()) + "}"
@@ -576,6 +578,15 @@ class TestOtherCommands:
         assert "invalid choice: 'csv'" in err and "Traceback" not in err
 
 
+def as_plain(obj):
+    """A copy of a report with every dict a plain dict."""
+    if isinstance(obj, dict):
+        return {key: as_plain(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [as_plain(value) for value in obj]
+    return obj
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -595,6 +606,33 @@ class TestDeterminism:
         spec = CommandSpec(**vars(build_parser().parse_args(argv)))
         _, out, _ = run_cli(argv)
         assert dumps_deterministic(run(spec).to_json_dict()) + "\n" == out
+
+    @pytest.mark.parametrize("n, d", [(n, d) for n in (2, 3) for d in range(1, 2**n + 1)])
+    def test_trace_through_the_c_encoder_matches_the_walk(self, n, d):
+        """A certificate's trace, all read-only entries, serializes through
+        json.dumps to exactly the bytes the walk gives its plain copy: in
+        certify and state reports at every (n, d) (a diagonal-norm trace at
+        every d), and in a certificate with a phase-1 head."""
+        for command in ("certify", "state"):
+            argv = [command, "--c=1,0.3,-0.3", "--n", str(n), "--dim", str(d)]
+            doc = run(CommandSpec(**vars(build_parser().parse_args(argv)))).to_json_dict()
+            cert = doc["results"] if command == "certify" else doc["results"]["certificate"]
+            assert cert["trace"] and {type(e) for e in cert["trace"]} == {_TraceEntry}
+            _, out, _ = run_cli(argv)
+            assert out == dumps_deterministic(as_plain(doc)) + "\n" == dumps_deterministic(doc) + "\n"
+        labels = _case_table(n, d).labels
+        head = ("negative_weight", "reconstruction_residual") * (math.comb(2**n + d - 1, d) // 2)
+        doc = Certificate(UNDECIDED, d, 0.5, None, CaseTrace(labels, head, "unresolved")).to_json_dict()
+        assert dumps_deterministic(doc) == dumps_deterministic(as_plain(doc))
+
+    def test_only_an_all_entry_list_takes_the_encoder(self):
+        """A list mixing entries with plain dicts, in either order, goes
+        through the walk, which formats every float with format_float."""
+        entry, plain = _TraceEntry(case="c", violated="v"), {"case": "c", "violated": 1 / 3}
+        for doc in ([entry, plain], [plain, entry]):
+            out = dumps_deterministic(doc)
+            assert f'"violated":{format_float(1 / 3)}' in out
+            assert out == dumps_deterministic(as_plain(doc))
 
     def test_run_rejects_unknown_command(self):
         """A spec naming no command is a parse error, not a crash."""

@@ -114,6 +114,18 @@ def test_import_and_version_leave_scipy_unloaded():
 
 
 
+
+def test_import_builds_no_table():
+    """Importing the package and its CLI fills none of the process-wide
+    tables: strategy sets, case tables, trace entries and the Pauli sets are
+    all built on first use."""
+    out, _ = run_fresh(["-c", (
+        "import unsteer.cli\n"
+        "from unsteer.decompose import _case_table, _pauli_set, _set_group, _trace_entries\n"
+        "print([f.cache_info().currsize for f in (_case_table, _pauli_set, _set_group, _trace_entries)])"
+    )])
+    assert out.strip() == "[0, 0, 0, 0]"
+
 _BD_BOX = """
 axes = u.pauli_axes({n})
 box = u.box_from_state(u.bell_diagonal(u.BellDiagonalParams(0.5, 0.4, -0.3)), axes, axes)

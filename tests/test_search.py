@@ -1,7 +1,9 @@
 """Bounded-dimension model search and the four-way certificate."""
 
+import copy
 import itertools
 import math
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,8 +42,10 @@ from unsteer.decompose import (
     _case_table,
     _cone_codes,
     _Interior,
+    _pauli_set,
     _SearchContext,
     _set_group,
+    _trace_entries,
 )
 
 from oracles import (
@@ -276,7 +280,10 @@ class TestSearchMechanics:
         alone at 2^n) in combinations order, each at its (group, row), and
         sends every assignment (the all-distinct one alone at 2^n) to its
         dict.fromkeys reduction, with the order that of first appearance."""
-        labels, sizes, set_of, order, locate = _case_table(n, d)
+        table = _case_table(n, d)
+        labels, sizes, set_of, order, locate = (
+            table.labels, table.sizes, table.set_of, table.order, table.locate
+        )
         assert list(labels) == search_case_labels(n, d)
         strategies = deterministic_strategies(n)
         assert sizes == ((d,) if d == 2**n else tuple(range(1, d + 1)))
@@ -413,9 +420,9 @@ class TestFactoredSystems:
             directions = pauli_axes(n).directions.tobytes()
             for k in range(1, 2**n + 1):
                 group, table = _set_group(directions, n, k), _case_table(n, k)
-                assert len(group) == 5 and len(table) == 5
-                arrays += group[1:] + table[2:4]
-                parts += [group[0], table[0], table[1], table[4]]
+                assert len(group) == 5
+                arrays += group[1:] + (table.set_of, table.order)
+                parts += [group[0], table.labels, table.sizes, table.locate]
         assert len(arrays) == 6 * 12
         for array in arrays:
             with pytest.raises(ValueError):
@@ -500,7 +507,7 @@ class TestFactoredSystems:
 def forced_traces(n, d):
     """(labels, head, tail) over the (n, d) label table: a head of every
     phase-1 reason, forced to cycle through three reasons, and no head."""
-    labels = _case_table(n, d)[0]
+    labels = _case_table(n, d).labels
     cycle = ("negative_weight", "reconstruction_residual", "bloch_norm_exceeds_weight")
     head = tuple(cycle[i % 3] for i in range(math.comb(2**n + d - 1, d)))
     return [(labels, head, "unresolved"), (labels, (), "correlator_rank_exceeds_dimension")]
@@ -548,13 +555,128 @@ class TestCaseTrace:
         the trace is built: under a blanket reason with no head, and below 2^n
         with every phase-1 reason in the head."""
         blanket = search_lhs_bounded(bd_box(0.5, 0.4, -0.3), pauli_axes(2), 2)
-        assert blanket.cases.labels is _case_table(2, 2)[0]
+        assert blanket.cases.labels is _case_table(2, 2).labels
         assert blanket.cases.head == ()
         assert blanket.cases.tail == "correlator_rank_exceeds_dimension"
         phase1 = search_lhs_bounded(bd_box(0.5, 0.4, -0.3), pauli_axes(2), 3)
-        assert phase1.cases.labels is _case_table(2, 3)[0]
+        assert phase1.cases.labels is _case_table(2, 3).labels
         assert len(phase1.cases.head) == math.comb(4 + 3 - 1, 3)
         assert phase1.cases.tail == "unresolved" and not phase1.sound
+
+    def test_model_at_the_top_builds_no_labels(self):
+        """Labels are built only for a returned trace: a d = 8 search that
+        returns a model builds no (3, 8) labels, nor does a certificate whose
+        top search finds one, while its d_A trace builds that table's."""
+        box = bd_box(0.3, 0.3, -0.3, n=3)
+        _case_table.cache_clear()
+        assert isinstance(search_lhs_bounded(box, pauli_axes(3), 8), LhvLhsModel)
+        assert "labels" not in vars(_case_table(3, 8))
+        cert = certify_quantumness(box, 3)
+        assert cert.verdict == SUPERUNSTEERABLE and cert.model.dimension == 8
+        assert "labels" not in vars(_case_table(3, 8))
+        assert cert.trace.labels is vars(_case_table(3, 2))["labels"]
+        assert list(_case_table(3, 8).labels) == search_case_labels(3, 8)
+
+
+class TestTraceEntries:
+    def test_every_mutator_raises(self):
+        """A certificate's trace entries are shared, so each mutator raises
+        TypeError and leaves the entry, and every later listing, as it was."""
+        cert = certify_quantumness(white_noise_bb84(0.5), 2)
+        want = [dict(entry) for entry in cert.to_json_dict()["trace"]]
+        entry = cert.to_json_dict()["trace"][0]
+
+        def setitem(entry):
+            entry["case"] = "x"
+
+        def delitem(entry):
+            del entry["case"]
+
+        def ior(entry):
+            entry |= {"violated": "x"}
+
+        for mutate in (setitem, delitem, ior, lambda e: e.update(case="x"), lambda e: e.pop("case"),
+                       lambda e: e.popitem(), lambda e: e.setdefault("extra", 1), lambda e: e.clear()):
+            with pytest.raises(TypeError, match="read-only"):
+                mutate(entry)
+        assert entry == want[0]
+        assert cert.to_json_dict()["trace"] == want
+
+    def test_copies_are_plain_mutable_dicts(self):
+        """pickle at every protocol, copy, deepcopy and dict() give equal,
+        plain, mutable dicts, whose changes leave the entry as it was."""
+        trace = certify_quantumness(white_noise_bb84(0.5), 2).to_json_dict()["trace"]
+        entry, want = trace[0], dict(trace[0])
+        copies = [pickle.loads(pickle.dumps(entry, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(entry), copy.deepcopy(entry), dict(entry), entry.copy()]
+        for copied in copies:
+            assert copied == entry and type(copied) is dict
+            copied["case"] = "changed"
+            del copied["violated"]
+        assert entry == want
+        whole = pickle.loads(pickle.dumps(trace))
+        assert whole == trace and {type(item) for item in whole} == {dict}
+        assert {type(item) for item in copy.deepcopy(trace)} == {dict}
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_certificates_share_no_mutable_state(self, n, d):
+        """Each call returns a fresh list: appending to, popping from and
+        reversing one certificate's trace leaves every other certificate's
+        list, its own earlier list and every later call unchanged, with a
+        phase-1 head or under a blanket reason."""
+        certs = [Certificate(UNDECIDED, d, 0.5, None, CaseTrace(*parts))
+                 for parts in forced_traces(n, d)]
+        certs.append(certify_quantumness(bd_box(0.5, 0.4, -0.3, n=n), n, d))
+        wants = [[dict(entry) for entry in cert.to_json_dict()["trace"]] for cert in certs]
+        for i, cert in enumerate(certs):
+            lists = [other.to_json_dict()["trace"] for other in certs]
+            earlier, mutated = lists[i], cert.to_json_dict()["trace"]
+            mutated.append({"case": "extra", "violated": "none"})
+            mutated.pop(0)
+            mutated.reverse()
+            assert lists == wants
+            assert [other.to_json_dict()["trace"] for other in certs] == wants
+            assert earlier is not mutated
+
+    def test_warm_certificate_builds_no_entries(self):
+        """A second certificate at the same (n, d_A) and reason builds no
+        entry: its trace lists the first's entry objects."""
+        first = certify_quantumness(bd_box(0.3, 0.3, -0.3, n=3), 3, d_A=3)
+        second = certify_quantumness(bd_box(0.25, 0.25, -0.25, n=3), 3, d_A=3)
+        assert first.trace == second.trace and not first.trace.head
+        before = _trace_entries.cache_info()
+        entries = first.to_json_dict()["trace"]
+        again = second.to_json_dict()["trace"]
+        after = _trace_entries.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits + 2
+        assert all(a is b for a, b in zip(entries, again)) and len(entries) == 7834
+
+    def test_cache_stays_within_its_bound(self):
+        """More (n, d, reason) keys than the cache holds evict the oldest,
+        and every trace still lists its own pairs."""
+        _trace_entries.cache_clear()
+        bound = _trace_entries.cache_info().maxsize
+        keys = [(n, d, tail) for n in (2, 3) for d in range(1, 2**n + 1)
+                for tail in ("unresolved", "correlator_rank_exceeds_dimension")]
+        assert len(keys) > bound
+        for n, d, tail in keys:
+            labels = _case_table(n, d).labels
+            cert = Certificate(UNDECIDED, d, 0.5, None, CaseTrace(labels, (), tail))
+            assert cert.to_json_dict()["trace"] == [{"case": c, "violated": tail} for c in labels]
+            assert _trace_entries.cache_info().currsize <= bound
+        assert _trace_entries.cache_info().currsize == bound
+
+    def test_foreign_labels_get_entries_of_their_own(self):
+        """A CaseTrace over labels that are not the search's table, equal or
+        not, lists its own pairs and fills no cache entry."""
+        labels = _case_table(2, 2).labels
+        before = _trace_entries.cache_info()
+        for foreign in (tuple(list(labels)), ("deterministic:x", "other"), ("",)):
+            cert = Certificate(UNDECIDED, 2, 0.5, None, CaseTrace(foreign, ("a",), "b"))
+            want = [{"case": c, "violated": v} for c, v in pairs_of(foreign, ("a",), "b")]
+            assert cert.to_json_dict()["trace"] == want
+        assert _trace_entries.cache_info() == before
 
 
 def fast_lane_model(ctx):
@@ -593,7 +715,7 @@ def one_assignment_at_a_time(box, dirs, d, tol=1e-9):
             if model is not None:
                 return model
             reasons.append(reason or "unresolved")
-    labels = _case_table(box.n, d)[0]
+    labels = _case_table(box.n, d).labels
     reasons += [blanket or "unresolved"] * (len(labels) - len(reasons))
     sound = "unresolved" not in reasons
     return InfeasibilityTrace(d, tuple(zip(labels, reasons)), sound, sound and blanket is not None)
@@ -627,7 +749,7 @@ def one_set_at_a_time(box, dirs, d, tol=1e-9):
             model = ctx._refine(*job[1:])
             if model is not None:
                 return model
-    labels = _case_table(box.n, d)[0]
+    labels = _case_table(box.n, d).labels
     reasons += [blanket or "unresolved"] * (len(labels) - len(reasons))
     sound = "unresolved" not in reasons
     return InfeasibilityTrace(d, tuple(zip(labels, reasons)), sound, sound and blanket is not None)
@@ -807,7 +929,7 @@ class TestDistinctStrategySets:
         evaluated, groups, order = solves[0]
         assert len(subsets) == 14 and evaluated == subsets
         assignments = list(itertools.combinations_with_replacement(strategies, 3))
-        set_of = _case_table(2, 3)[2]
+        set_of = _case_table(2, 3).set_of
         assert [evaluated[i] for i in set_of] == [tuple(dict.fromkeys(a)) for a in assignments]
         assert [evaluated[i] for i in order] == list(dict.fromkeys(
             tuple(dict.fromkeys(assignment)) for assignment in assignments
@@ -819,7 +941,7 @@ class TestDistinctStrategySets:
         for (key,), (group,), _ in solves[1:]:
             assert len(key) < 3
             assert np.shares_memory(group[2], _set_group(directions, 2, len(key))[2])
-        labels = _case_table(2, 3)[0]
+        labels = _case_table(2, 3).labels
         assert len(cert.trace) == len(labels) == 26
         assert [label for label, _ in cert.trace] == list(labels)
 
@@ -1276,3 +1398,27 @@ class TestCertificates:
         assert doc["d_A"] == 2
         assert isinstance(doc["model"], dict)
         assert all(set(e) == {"case", "violated"} for e in doc["trace"])
+
+    def test_pauli_set_is_one_read_only_constant(self, monkeypatch):
+        """A certificate's searches run on one read-only Pauli set per n,
+        built on first use: a warm certificate builds no MeasurementSet and
+        runs no is_mub, and its model holds that set, while pauli_axes still
+        returns a fresh, writable set each call, which a search checks."""
+        made, checked = [], []
+        post_init, is_mub = MeasurementSet.__post_init__, MeasurementSet.is_mub
+        monkeypatch.setattr(MeasurementSet, "__post_init__",
+                            lambda dirs: made.append(dirs) or post_init(dirs))
+        monkeypatch.setattr(MeasurementSet, "is_mub", lambda dirs: checked.append(dirs) or is_mub(dirs))
+        for n, box in ((2, white_noise_bb84(0.5)), (3, bd_box(0.3, 0.3, -0.3, n=3))):
+            axes = _pauli_set(n)
+            assert _pauli_set(n) is axes and not axes.directions.flags.writeable
+            assert np.array_equal(axes.directions, pauli_axes(n).directions)
+            made.clear()
+            checked.clear()
+            cert = certify_quantumness(box, n)
+            assert cert.verdict == SUPERUNSTEERABLE and made == checked == []
+            assert cert.model.bob_directions is axes
+            fresh = pauli_axes(n)
+            assert fresh is not pauli_axes(n) and fresh.directions.flags.writeable
+            assert search_lhs_bounded(box, fresh, 2**n).bob_directions is fresh
+            assert checked == [fresh]
