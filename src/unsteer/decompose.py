@@ -166,21 +166,32 @@ class LhvLhsModel:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class CaseTrace(Sequence):
-    """The (label, reason) pairs of a failed search, stored as the search
-    finds them: `labels` is the search's case-label tuple, `head` the reasons
-    of its first cases (the phase-1 reasons, none under a blanket reason)
-    and `tail` the one reason of every later case.  It equals, and hashes
-    like, the tuple of its pairs."""
+    """The (label, reason) pairs of a failed search at (n, d), stored as the
+    search finds them: the labels are the (n, d) case table's, fetched when
+    the trace is built; `head` the reasons of its first cases (the phase-1
+    reasons, none under a blanket reason) and `tail` the one reason of every
+    later case.  It equals, and hashes like, the tuple of its pairs."""
 
-    labels: tuple[str, ...]
+    n: int
+    d: int
     head: tuple[str, ...]
     tail: str
+
+    def __post_init__(self):
+        self.labels  # fetched when the trace is built, not on its first read
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return _case_table(self.n, self.d).labels
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def __getitem__(self, index):
-        return tuple(self)[index]
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        i = range(len(self))[index]
+        return self.labels[i], self.head[i] if i < len(self.head) else self.tail
 
     def __iter__(self):
         rest = itertools.islice(self.labels, len(self.head), None)
@@ -217,23 +228,16 @@ class _TraceEntry(dict):
 @functools.lru_cache(maxsize=16)  # every (n, d, reason) of a workload: 7 on search-enumerate
 def _trace_entries(n: int, d: int, reason: str) -> tuple[_TraceEntry, ...]:
     """The entry of every (n, d) case label with one reason, built once per
-    process when a certificate first lists that reason as a trace's tail."""
+    process and listed by every trace at (n, d) with that tail, unpickled too."""
     return tuple(_TraceEntry(case=label, violated=reason) for label in _case_table(n, d).labels)
 
 
-def _trace_json(cases) -> list:
-    """A fresh list of one entry per (label, reason) pair of `cases`.  For a
-    CaseTrace over a search's (n, d) label table, read off its first label,
-    the head's entries are built here and the tail's taken from
-    _trace_entries; any other pairs get an entry each."""
-    if isinstance(cases, CaseTrace) and cases.labels:
-        names = cases.labels[0].removeprefix("deterministic:").split("+")
-        n, d = len(names[0]), len(names)
-        if n in (2, 3) and d <= 2**n and _case_table(n, d).labels is cases.labels:
-            entries = [_TraceEntry(case=c, violated=v) for c, v in zip(cases.labels, cases.head)]
-            entries += _trace_entries(n, d, cases.tail)[len(entries):]
-            return entries
-    return [_TraceEntry(case=c, violated=v) for c, v in cases]
+def _trace_json(cases: CaseTrace) -> list:
+    """A fresh list of the entries of a trace's pairs: the head's built
+    here, the tail's taken from _trace_entries."""
+    entries = [_TraceEntry(case=c, violated=v) for c, v in zip(cases.labels, cases.head)]
+    entries += _trace_entries(cases.n, cases.d, cases.tail)[len(entries):]
+    return entries
 
 
 @dataclass(frozen=True)
@@ -268,7 +272,7 @@ class Certificate:
             "d_A": int(self.d_A),
             "functional": float(self.functional),
             "model": self.model.to_json_dict() if self.model is not None else None,
-            "trace": _trace_json(self.trace),
+            "trace": _trace_json(self.trace) if self.trace else [],
         }
 
 
@@ -912,14 +916,14 @@ def search_lhs_bounded(
     q_l) first, ties in that order; verification alone accepts an end
     point, and a refinement only finds models, so the trace is as if each
     set were solved in turn.  Every other case takes the blanket reason or
-    is reported unresolved, in a CaseTrace over the (n, d) labels.  A
+    is reported unresolved, in a CaseTrace that names (n, d).  A
     certificate passes its context as _context.
 
     Returns:
         A verified LhvLhsModel, or an InfeasibilityTrace listing every case
-        with the constraint it violates.  The trace's sound/exhaustive flags
-        state exactly how much the rejection proves; at 1 < d < 2^n only a
-        correlator obstruction makes a trace exhaustive.
+        with the constraint it violates.  The trace is sound and exhaustive
+        exactly when one blanket proof retires every case, its tail; a
+        phase-1 head leaves the tail "unresolved" and the trace neither.
 
     Raises:
         InvalidBox, DimensionMismatch, OutOfRange: on malformed input, a
@@ -967,9 +971,9 @@ def search_lhs_bounded(
         if d == d_top:
             blanket, reasons = reasons[0], ()
 
-    cases = CaseTrace(table.labels, reasons, blanket or "unresolved")
-    sound = "unresolved" not in cases.head and cases.tail != "unresolved"
-    return InfeasibilityTrace(d, cases, sound, sound and blanket is not None)
+    cases = CaseTrace(box.n, d, reasons, blanket or "unresolved")
+    sound = cases.tail != "unresolved"
+    return InfeasibilityTrace(d, cases, sound, sound)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1012,7 +1016,9 @@ def certify_quantumness(
     first = search_lhs_bounded(box, ctx.dirs, d_A, tol, _context=ctx)
     if isinstance(first, LhvLhsModel):
         return Certificate(CLASSICAL_AT_DIMENSION, d_A, functional, first, ())
-    if first.sound and first.exhaustive and d_A < d_top:
+    # The diagonal norm rules out a model at every dimension, the top's too.
+    everywhere = first.cases.tail == "diagonal_correlator_norm_exceeds_one"
+    if first.sound and first.exhaustive and d_A < d_top and not everywhere:
         top = search_lhs_bounded(box, ctx.dirs, d_top, tol, _context=ctx)
         if isinstance(top, LhvLhsModel):
             return Certificate(SUPERUNSTEERABLE, d_A, functional, top, first.cases)

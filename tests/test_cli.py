@@ -21,7 +21,7 @@ from unsteer.cli import (
     render_text,
     run,
 )
-from unsteer.decompose import UNDECIDED, CaseTrace, Certificate, _case_table, _TraceEntry
+from unsteer.decompose import UNDECIDED, CaseTrace, Certificate, _TraceEntry
 from unsteer.rac import MIN_STEP
 
 UNIFORM_BOX = '{"n": 2, "p": ' + json.dumps(np.full((2, 2, 2, 2), 0.25).tolist()) + "}"
@@ -620,9 +620,8 @@ class TestDeterminism:
             assert cert["trace"] and {type(e) for e in cert["trace"]} == {_TraceEntry}
             _, out, _ = run_cli(argv)
             assert out == dumps_deterministic(as_plain(doc)) + "\n" == dumps_deterministic(doc) + "\n"
-        labels = _case_table(n, d).labels
         head = ("negative_weight", "reconstruction_residual") * (math.comb(2**n + d - 1, d) // 2)
-        doc = Certificate(UNDECIDED, d, 0.5, None, CaseTrace(labels, head, "unresolved")).to_json_dict()
+        doc = Certificate(UNDECIDED, d, 0.5, None, CaseTrace(n, d, head, "unresolved")).to_json_dict()
         assert dumps_deterministic(doc) == dumps_deterministic(as_plain(doc))
 
     def test_only_an_all_entry_list_takes_the_encoder(self):

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import math
 import pickle
 from types import SimpleNamespace
@@ -37,6 +38,7 @@ from unsteer import (
     verify_lhv_lhs,
     white_noise_bb84,
 )
+from unsteer import decompose
 from unsteer.decompose import (
     CaseTrace,
     _case_table,
@@ -46,6 +48,7 @@ from unsteer.decompose import (
     _SearchContext,
     _set_group,
     _trace_entries,
+    _TraceEntry,
 )
 
 from oracles import (
@@ -505,16 +508,16 @@ class TestFactoredSystems:
 
 
 def forced_traces(n, d):
-    """(labels, head, tail) over the (n, d) label table: a head of every
-    phase-1 reason, forced to cycle through three reasons, and no head."""
-    labels = _case_table(n, d).labels
+    """(head, tail) of a trace at (n, d): a head of every phase-1 reason,
+    forced to cycle through three reasons, and no head."""
     cycle = ("negative_weight", "reconstruction_residual", "bloch_norm_exceeds_weight")
     head = tuple(cycle[i % 3] for i in range(math.comb(2**n + d - 1, d)))
-    return [(labels, head, "unresolved"), (labels, (), "correlator_rank_exceeds_dimension")]
+    return [(head, "unresolved"), ((), "correlator_rank_exceeds_dimension")]
 
 
-def pairs_of(labels, head, tail):
+def pairs_of(n, d, head, tail):
     """The trace as the tuple of (label, reason) pairs it stands for."""
+    labels = _case_table(n, d).labels
     return tuple(zip(labels, head + (tail,) * (len(labels) - len(head))))
 
 
@@ -525,9 +528,9 @@ class TestCaseTrace:
     def test_json_matches_the_pairs(self, n, d):
         """to_json_dict expands the trace to one {"case", "violated"} dict
         per pair, in order, with or without a head."""
-        for labels, head, tail in forced_traces(n, d):
-            cert = Certificate(UNDECIDED, d, 0.5, None, CaseTrace(labels, head, tail))
-            want = [{"case": c, "violated": v} for c, v in pairs_of(labels, head, tail)]
+        for head, tail in forced_traces(n, d):
+            cert = Certificate(UNDECIDED, d, 0.5, None, CaseTrace(n, d, head, tail))
+            want = [{"case": c, "violated": v} for c, v in pairs_of(n, d, head, tail)]
             assert cert.to_json_dict()["trace"] == want
 
     @pytest.mark.parametrize(
@@ -535,15 +538,23 @@ class TestCaseTrace:
     )
     def test_reads_as_the_tuple_of_pairs(self, n, d):
         """Iteration, len, indices at both ends and around the head/tail
-        boundary, slices, equality and hash match the tuple of pairs."""
-        for labels, head, tail in forced_traces(n, d):
-            cases, pairs = CaseTrace(labels, head, tail), pairs_of(labels, head, tail)
+        boundary, slices, reversed, index, count, equality and hash match the
+        tuple of pairs."""
+        for head, tail in forced_traces(n, d):
+            cases, pairs = CaseTrace(n, d, head, tail), pairs_of(n, d, head, tail)
             assert list(cases) == list(pairs) and len(cases) == len(pairs)
             k = len(head)
             for i in {0, 1, k - 1, k, k + 1, len(pairs) - 1} & set(range(len(pairs))):
                 assert cases[i] == pairs[i] and cases[i - len(pairs)] == pairs[i]
             assert cases[-1] == pairs[-1]
             assert cases[:3] == pairs[:3] and cases[::-7] == pairs[::-7]
+            assert tuple(reversed(cases)) == tuple(reversed(pairs))
+            for pair in {pairs[0], pairs[k - 1], pairs[-1]}:
+                assert cases.index(pair) == pairs.index(pair)
+                assert cases.count(pair) == pairs.count(pair)
+            assert cases.count(("no such case", tail)) == 0
+            with pytest.raises(ValueError):
+                cases.index(("no such case", tail))
             assert cases == pairs and pairs == cases and hash(cases) == hash(pairs)
             assert cases != pairs[:-1] and cases != list(pairs)
             for index in (len(pairs), -len(pairs) - 1):
@@ -551,17 +562,46 @@ class TestCaseTrace:
                     cases[index]
 
     def test_search_holds_the_cached_labels(self):
-        """A returned trace holds the cached label table itself, fetched when
-        the trace is built: under a blanket reason with no head, and below 2^n
-        with every phase-1 reason in the head."""
+        """A returned trace names its (n, d), reads the cached label table
+        itself and fetched it when the trace was built: under a blanket
+        reason with no head, sound and exhaustive, and below 2^n with every
+        phase-1 reason in the head, neither."""
+        _case_table.cache_clear()
         blanket = search_lhs_bounded(bd_box(0.5, 0.4, -0.3), pauli_axes(2), 2)
+        assert (blanket.cases.n, blanket.cases.d) == (2, 2)
+        assert "labels" in vars(_case_table(2, 2))
         assert blanket.cases.labels is _case_table(2, 2).labels
         assert blanket.cases.head == ()
         assert blanket.cases.tail == "correlator_rank_exceeds_dimension"
+        assert blanket.sound and blanket.exhaustive
         phase1 = search_lhs_bounded(bd_box(0.5, 0.4, -0.3), pauli_axes(2), 3)
+        assert "labels" in vars(_case_table(2, 3))
         assert phase1.cases.labels is _case_table(2, 3).labels
         assert len(phase1.cases.head) == math.comb(4 + 3 - 1, 3)
-        assert phase1.cases.tail == "unresolved" and not phase1.sound
+        assert phase1.cases.tail == "unresolved"
+        assert not phase1.sound and not phase1.exhaustive
+
+    def test_an_index_reads_one_label(self, monkeypatch):
+        """cases[i] reads the one label at i from the table, with its head
+        reason or the tail, and never walks the labels."""
+        n, d = 3, 3
+        head, tail = forced_traces(n, d)[0]
+        cases, pairs = CaseTrace(n, d, head, tail), pairs_of(n, d, head, tail)
+        reads = []
+
+        class CountingLabels(tuple):
+            def __getitem__(self, index):
+                reads.append(index)
+                return tuple.__getitem__(self, index)
+
+            def __iter__(self):
+                raise AssertionError("an index walked the labels")
+
+        table = _case_table(n, d)
+        monkeypatch.setitem(vars(table), "labels", CountingLabels(table.labels))
+        for i in (0, len(head) - 1, len(head), len(pairs) - 1, -1, -len(pairs)):
+            reads.clear()
+            assert cases[i] == pairs[i] and len(reads) == 1
 
     def test_model_at_the_top_builds_no_labels(self):
         """Labels are built only for a returned trace: a d = 8 search that
@@ -625,7 +665,7 @@ class TestTraceEntries:
         reversing one certificate's trace leaves every other certificate's
         list, its own earlier list and every later call unchanged, with a
         phase-1 head or under a blanket reason."""
-        certs = [Certificate(UNDECIDED, d, 0.5, None, CaseTrace(*parts))
+        certs = [Certificate(UNDECIDED, d, 0.5, None, CaseTrace(n, d, *parts))
                  for parts in forced_traces(n, d)]
         certs.append(certify_quantumness(bd_box(0.5, 0.4, -0.3, n=n), n, d))
         wants = [[dict(entry) for entry in cert.to_json_dict()["trace"]] for cert in certs]
@@ -645,12 +685,33 @@ class TestTraceEntries:
         first = certify_quantumness(bd_box(0.3, 0.3, -0.3, n=3), 3, d_A=3)
         second = certify_quantumness(bd_box(0.25, 0.25, -0.25, n=3), 3, d_A=3)
         assert first.trace == second.trace and not first.trace.head
-        before = _trace_entries.cache_info()
         entries = first.to_json_dict()["trace"]
+        before = _trace_entries.cache_info()
         again = second.to_json_dict()["trace"]
         after = _trace_entries.cache_info()
-        assert after.misses == before.misses and after.hits == before.hits + 2
+        assert after.misses == before.misses and after.hits == before.hits + 1
         assert all(a is b for a, b in zip(entries, again)) and len(entries) == 7834
+
+    def test_copied_certificate_shares_the_entries(self):
+        """A (3, 3) certificate pickles to under 4 KB, since its trace names
+        (n, d) instead of holding the labels.  Pickled at every protocol or
+        deep-copied, with or without a phase-1 head, it gives an equal trace,
+        identical JSON and a list of the original's shared tail entries."""
+        certs = [certify_quantumness(bd_box(0.3, 0.3, -0.3, n=3), 3, d_A=3)]
+        certs += [Certificate(UNDECIDED, 3, 0.5, None, CaseTrace(3, 3, *parts))
+                  for parts in forced_traces(3, 3)]
+        assert len(pickle.dumps(certs[0])) < 4096
+        for cert in certs:
+            doc = cert.to_json_dict()
+            copies = [pickle.loads(pickle.dumps(cert, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for other in copies + [copy.deepcopy(cert)]:
+                assert other.trace == cert.trace and other.trace is not cert.trace
+                again = other.to_json_dict()
+                assert json.dumps(again) == json.dumps(doc)
+                head = len(cert.trace.head)
+                assert all(a is b for a, b in zip(again["trace"][head:], doc["trace"][head:]))
+                assert {type(entry) for entry in again["trace"]} == {_TraceEntry}
 
     def test_cache_stays_within_its_bound(self):
         """More (n, d, reason) keys than the cache holds evict the oldest,
@@ -661,22 +722,11 @@ class TestTraceEntries:
                 for tail in ("unresolved", "correlator_rank_exceeds_dimension")]
         assert len(keys) > bound
         for n, d, tail in keys:
-            labels = _case_table(n, d).labels
-            cert = Certificate(UNDECIDED, d, 0.5, None, CaseTrace(labels, (), tail))
-            assert cert.to_json_dict()["trace"] == [{"case": c, "violated": tail} for c in labels]
+            cert = Certificate(UNDECIDED, d, 0.5, None, CaseTrace(n, d, (), tail))
+            want = [{"case": c, "violated": tail} for c in _case_table(n, d).labels]
+            assert cert.to_json_dict()["trace"] == want
             assert _trace_entries.cache_info().currsize <= bound
         assert _trace_entries.cache_info().currsize == bound
-
-    def test_foreign_labels_get_entries_of_their_own(self):
-        """A CaseTrace over labels that are not the search's table, equal or
-        not, lists its own pairs and fills no cache entry."""
-        labels = _case_table(2, 2).labels
-        before = _trace_entries.cache_info()
-        for foreign in (tuple(list(labels)), ("deterministic:x", "other"), ("",)):
-            cert = Certificate(UNDECIDED, 2, 0.5, None, CaseTrace(foreign, ("a",), "b"))
-            want = [{"case": c, "violated": v} for c, v in pairs_of(foreign, ("a",), "b")]
-            assert cert.to_json_dict()["trace"] == want
-        assert _trace_entries.cache_info() == before
 
 
 def fast_lane_model(ctx):
@@ -1381,6 +1431,28 @@ class TestCertificates:
             calls.clear()
             assert certify_quantumness(box, n).verdict == verdict
             assert calls == [box], verdict
+
+    def test_diagonal_norm_skips_the_top_search(self, monkeypatch):
+        """A d_A trace retired by the diagonal norm, which rules out a model
+        at every dimension, is the certificate's whole answer: one search,
+        no (3, 8) labels, and the UNDECIDED certificate of that trace, while
+        the skipped top search would only have repeated the reason."""
+        calls = []
+        search = decompose.search_lhs_bounded
+        monkeypatch.setattr(decompose, "search_lhs_bounded",
+                            lambda *args, **kwargs: calls.append(args[2]) or search(*args, **kwargs))
+        for c, d_A in (((0.7, -0.6, 0.4), 3), ((1.0, 0.3, -0.3), 2), ((1.0, 0.3, -0.3), 3)):
+            box = bd_box(*c, n=3)
+            _case_table.cache_clear()
+            calls.clear()
+            cert = certify_quantumness(box, 3, d_A=d_A)
+            assert calls == [d_A] and "labels" not in vars(_case_table(3, 8))
+            first = search(box, pauli_axes(3), d_A)
+            assert first.cases.tail == "diagonal_correlator_norm_exceeds_one"
+            assert first.sound and first.exhaustive
+            want = Certificate(UNDECIDED, d_A, cert.functional, None, first.cases)
+            assert json.dumps(cert.to_json_dict()) == json.dumps(want.to_json_dict())
+            assert search(box, pauli_axes(3), 8).cases.tail == first.cases.tail
 
     def test_direct_search_still_validates(self):
         """A direct search_lhs_bounded call validates its box itself."""
