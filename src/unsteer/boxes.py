@@ -145,10 +145,13 @@ def _born_products(
     """(A_a^x (x) B_b^y) rho for stacks alice_ops (X, A, 2, 2) and bob_ops
     (Y, B, 2, 2), shape (X, Y, A, B, 4, 4): the package's one Born-rule site.
 
-    Its trace is p(ab|xy); with Bob's identity as his only operator, its
-    partial trace over Alice is sigma(a|x).  Forming each Kronecker product
-    and multiplying it into rho as its own 4x4 product keeps every entry bit
-    for bit equal to Tr[np.kron(A, B) @ rho]; an einsum contraction does not.
+    Its trace (_born_traces) is p(ab|xy); with Bob's identity as his only
+    operator, its partial trace over Alice is sigma(a|x).  All Kronecker
+    products are rows of one (X*Y*A*B*4, 4) matrix, multiplied into rho by
+    one GEMM.  Each entry is still the length-4 dot product of a Kronecker
+    row and a column of rho that np.kron(A, B) @ rho forms, through the same
+    kernel, so it keeps its bits; that holds per BLAS build, and
+    tests/test_born_kernel.py checks it.  An einsum contraction does not.
     """
     x, a = alice_ops.shape[:2]
     y, b = bob_ops.shape[:2]
@@ -156,7 +159,15 @@ def _born_products(
         alice_ops[:, None, :, None, :, None, :, None]
         * bob_ops[None, :, None, :, None, :, None, :]
     )
-    return joint.reshape(x, y, a, b, 4, 4) @ rho
+    return (joint.reshape(-1, 4) @ rho).reshape(x, y, a, b, 4, 4)
+
+
+def _born_traces(products: np.ndarray) -> np.ndarray:
+    """np.trace(products, axis1=-2, axis2=-1).real of a (..., 4, 4) complex
+    stack, bit for bit: read from the real diagonal and summed in the order
+    numpy sums four complex entries, (d0 + d1) + (d2 + d3)."""
+    d = products.real.diagonal(axis1=-2, axis2=-1)
+    return (d[..., 0] + d[..., 1]) + (d[..., 2] + d[..., 3])
 
 
 def box_from_state(rho: DensityMatrix, alice: MeasurementSet, bob: MeasurementSet) -> Box:
@@ -171,7 +182,7 @@ def box_from_state(rho: DensityMatrix, alice: MeasurementSet, bob: MeasurementSe
     if alice.n != bob.n:
         raise DimensionMismatch(f"setting counts differ: {alice.n} vs {bob.n}")
     products = _born_products(rho, _projectors(alice.directions), _projectors(bob.directions))
-    return Box(alice.n, np.trace(products, axis1=-2, axis2=-1).real).validate()
+    return Box(alice.n, _born_traces(products)).validate()
 
 
 def white_noise_bb84(v: float) -> Box:
@@ -239,7 +250,7 @@ def steering_functional(box: Box, n: int) -> float:
     if box.n != n:
         raise DimensionMismatch(f"box has {box.n} settings per side, asked for n = {n}")
     diag = np.abs(np.diag(correlator_matrix(box)))
-    return float(sum(diag) / np.sqrt(n))
+    return float(np.add.reduce(diag) / np.sqrt(n))
 
 
 def estimate_params_from_box(box: Box) -> BellDiagonalParams:

@@ -97,6 +97,9 @@ def _check_tol(tol: float) -> None:
 
 
 _BETA_01 = BellDiagonalParams(1.0, 1.0, -1.0)
+# Its density matrix, built once; each split returns its own copy.
+_BETA_01_STATE = bell_diagonal(_BETA_01)
+_BETA_01_STATE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -372,7 +375,7 @@ def _canonical_split(params: BellDiagonalParams, n: int) -> ConvexSplit:
         weight, rem = abs(min(params.c3, 0.0)), three_set_remainder(params)
     return ConvexSplit(
         weight,
-        bell_diagonal(_BETA_01),
+        _BETA_01_STATE.copy(),
         bell_diagonal(rem),
         steerable_params=_BETA_01,
         unsteerable_params=rem,

@@ -13,16 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import _born_products, deterministic_strategies
+from .boxes import _born_products, _born_traces, deterministic_strategies
 from .errors import DegenerateAxis, DimensionMismatch, NonUnitDirection, OutOfRange
 from .states import (
     BellDiagonalParams,
+    _canonical,
     _canonical_head,
     _check_n,
     _is_unit,
     _projectors,
     bell_diagonal,
-    canonical_form,
 )
 
 CSV_HEADER = "c1,c2,c3,separable,strength_n,efficiency_n,discord"
@@ -33,6 +33,8 @@ MIN_STEP = 0.005
 
 # Bob's projectors onto sigma_x, sigma_y, sigma_z; an n-bit code reads the first n.
 _PAULI_PROJECTORS = _projectors(np.eye(3))
+# The 2^n input strings of an n-bit code as rows of bits, most significant first.
+_INPUT_BITS = {n: np.array(deterministic_strategies(n)) for n in (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,12 @@ def encoding_directions(params: BellDiagonalParams, n: int) -> np.ndarray:
         DegenerateAxis: when some relevant c_i' = 0.
         UnsupportedN: for n outside {2, 3}.
     """
-    c = _canonical_head(params, n)
+    return _encodings(_canonical_head(params, n))
+
+
+def _encodings(c: np.ndarray) -> np.ndarray:
+    """encoding_directions of the first n canonical components c."""
+    n = len(c)
     if np.any(c == 0.0):
         raise DegenerateAxis(
             "encoding undefined when a relevant axis vanishes, canonical "
@@ -124,7 +131,7 @@ def encoding_directions(params: BellDiagonalParams, n: int) -> np.ndarray:
     with np.errstate(over="ignore"):
         inv = 1.0 / np.ldexp(c, -math.frexp(min(map(abs, c.tolist())))[1])
     scale = float(np.sqrt(np.sum(inv**2)))
-    bits = np.array(deterministic_strategies(n))
+    bits = _INPUT_BITS[n]
     out = np.zeros((2**n, 3))
     out[:, :n] = np.where(bits == 1, -1.0, 1.0) * inv / scale
     return out
@@ -136,8 +143,9 @@ def optimal_rac_spec(params: BellDiagonalParams, n: int) -> RacSpec:
     Raises:
         DegenerateAxis, UnphysicalParams, UnsupportedN: as in the parts.
     """
-    encodings = encoding_directions(params, n)
-    return RacSpec(n=n, params=canonical_form(params).canonical, encodings=encodings)
+    canonical = _canonical(params, n)
+    encodings = _encodings(canonical.as_array()[:n])
+    return RacSpec(n=n, params=canonical, encodings=encodings)
 
 
 def simulate_rac(spec: RacSpec) -> RacResult:
@@ -152,8 +160,8 @@ def simulate_rac(spec: RacSpec) -> RacResult:
     n = spec.n
     alice = _projectors(spec.encodings)
     bob = _PAULI_PROJECTORS[:n]
-    p = np.trace(_born_products(rho, alice, bob), axis1=-2, axis2=-1).real  # [x, i, a, b]
-    bits = np.array(deterministic_strategies(n))
+    p = _born_traces(_born_products(rho, alice, bob))  # [x, i, a, b]
+    bits = _INPUT_BITS[n]
     # The guess a XOR b is right when it equals x_i; a = 0 is summed first.
     table = np.where(bits == 0, p[..., 0, 0] + p[..., 1, 1], p[..., 0, 1] + p[..., 1, 0])
     return RacResult(float(table.min()), table)
@@ -182,7 +190,9 @@ def optimize_rac(params: BellDiagonalParams, n: int) -> RacResult:
     input 0's under m, so one search for input 0 (Nelder-Mead over sphere
     angles, from 20 deterministically seeded starts) gives every row of the
     table.  The heuristic encoding, when defined, is one more start, so the
-    result is never worse than it beyond 1e-9.
+    result is never worse than it beyond 1e-9; it is the first start, and its
+    simplex is 1e-6 wide instead of scipy's default, since it only has to
+    confirm that point.
 
     The closed form `rac_efficiency_bd` bounds every direction: for a unit m
     with t = min_i m_i c_i > 0, |m_i| >= t/|c_i| gives 1 >= t^2 sum_i c_i^-2,
@@ -198,22 +208,23 @@ def optimize_rac(params: BellDiagonalParams, n: int) -> RacResult:
     c = _canonical_head(params, n)
     bound = rac_efficiency_bd(params, n)
     rng = np.random.default_rng(0)
-    starts = []
+    starts = []  # (angles, initial simplex); None keeps scipy's default simplex
     try:
-        starts.append(_angles(encoding_directions(params, n)[0]))
+        heuristic = np.asarray(_angles(_encodings(c)[0]))
+        starts.append((heuristic, heuristic + np.array([[0.0, 0.0], [1e-6, 0.0], [0.0, 1e-6]])))
     except DegenerateAxis:
         pass
     for _ in range(20):
         z = rng.normal(size=3)
-        starts.append(_angles(z / np.linalg.norm(z)))
+        starts.append((np.asarray(_angles(z / np.linalg.norm(z))), None))
     best_value = -np.inf
     best_direction = np.array([0.0, 0.0, 1.0])
-    for start in starts:
+    for start, simplex in starts:
         res = optimize.minimize(
             lambda angles: -float(_success_row(c, _unit_from_angles(*angles)).min()),
-            np.asarray(start),
+            start,
             method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 600},
+            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 600, "initial_simplex": simplex},
         )
         if -res.fun > best_value:
             best_value = -res.fun

@@ -67,9 +67,9 @@ class BellDiagonalParams:
                 f"triple ({self.c1}, {self.c2}, {self.c3}) is unphysical: "
                 "components must be finite"
             )
-        lam = bd_eigenvalues(self)
+        lam = _eigenvalues(self)
         labels = ("lambda_00", "lambda_01", "lambda_10", "lambda_11")
-        k = int(np.argmin(lam))
+        k = lam.index(min(lam))
         if lam[k] < -ATOL_EIG:
             raise UnphysicalParams(
                 f"triple ({self.c1}, {self.c2}, {self.c3}) is unphysical: "
@@ -124,14 +124,18 @@ def bd_eigenvalues(params: BellDiagonalParams) -> np.ndarray:
     lambda_ab = (1 + (-1)^a c1 - (-1)^(a+b) c2 + (-1)^b c3) / 4.  Unphysical
     triples simply yield negative entries; no validation here.
     """
+    return np.array(_eigenvalues(params))
+
+
+def _eigenvalues(params: BellDiagonalParams) -> tuple:
+    """bd_eigenvalues as a tuple of scalars, which validate reads without
+    building an array."""
     c1, c2, c3 = params.c1, params.c2, params.c3
-    return np.array(
-        [
-            (1.0 + c1 - c2 + c3) / 4.0,
-            (1.0 + c1 + c2 - c3) / 4.0,
-            (1.0 - c1 + c2 + c3) / 4.0,
-            (1.0 - c1 - c2 - c3) / 4.0,
-        ]
+    return (
+        (1.0 + c1 - c2 + c3) / 4.0,
+        (1.0 + c1 + c2 - c3) / 4.0,
+        (1.0 - c1 + c2 + c3) / 4.0,
+        (1.0 - c1 - c2 - c3) / 4.0,
     )
 
 
@@ -142,10 +146,8 @@ def bell_diagonal(params: BellDiagonalParams) -> DensityMatrix:
         UnphysicalParams: when any eigenvalue is below -1e-10.
     """
     params.validate()
-    rho = _IDENTITY_4
-    for c, pair in zip(params.as_array(), _PAULI_PAIRS):
-        rho = rho + c * pair
-    return rho / 4.0
+    xx, yy, zz = _PAULI_PAIRS
+    return (_IDENTITY_4 + params.c1 * xx + params.c2 * yy + params.c3 * zz) / 4.0
 
 
 def geometric_discord(params: BellDiagonalParams) -> float:
@@ -215,19 +217,25 @@ def _check_n(n: int) -> None:
         raise UnsupportedN(f"n must be 2 or 3, got {n}")
 
 
-def _canonical_head(params: BellDiagonalParams, n: int) -> np.ndarray:
-    """The first n canonical components of a triple, after UnphysicalParams
-    and UnsupportedN checks: the input of every n-setting closed form."""
+def _canonical(params: BellDiagonalParams, n: int) -> BellDiagonalParams:
+    """The canonical triple, after UnphysicalParams and UnsupportedN checks."""
     params.validate()
     _check_n(n)
-    return canonical_form(params).canonical.as_array()[:n]
+    return canonical_form(params).canonical
+
+
+def _canonical_head(params: BellDiagonalParams, n: int) -> np.ndarray:
+    """The first n canonical components of a triple, after the checks of
+    _canonical: the input of every n-setting closed form."""
+    return _canonical(params, n).as_array()[:n]
 
 
 def _is_unit(vectors: np.ndarray) -> bool:
     """Whether every row has norm within ATOL_MATRIX of 1 (NaN fails): the one
     unit-norm bound of measurement sets, RAC encodings and projectors."""
-    norms = np.linalg.norm(np.atleast_2d(vectors), axis=-1)
-    return bool(np.all(np.abs(norms - 1.0) <= ATOL_MATRIX))
+    v = np.atleast_2d(vectors)
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1))  # np.linalg.norm's own rule
+    return bool((np.abs(norms - 1.0) <= ATOL_MATRIX).all())
 
 
 def _n_sigma(vectors: np.ndarray) -> np.ndarray:
@@ -236,7 +244,7 @@ def _n_sigma(vectors: np.ndarray) -> np.ndarray:
     Summed from 0 term by term, x first, as the scalar formula is, so that
     every entry keeps its bits, signed zeros included."""
     v = np.asarray(vectors, dtype=float)[..., None, None]
-    return sum(v[..., i, :, :] * sigma for i, sigma in enumerate(PAULIS))
+    return 0 + v[..., 0, :, :] * SIGMA_X + v[..., 1, :, :] * SIGMA_Y + v[..., 2, :, :] * SIGMA_Z
 
 
 def _projectors(directions: np.ndarray) -> np.ndarray:
