@@ -6,6 +6,7 @@ steering witness.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,10 @@ class MeasurementSet:
     def __post_init__(self):
         dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
         object.__setattr__(self, "directions", dirs)
+        if dirs.ndim != 2 or dirs.shape[0] < 1 or dirs.shape[1] != 3:
+            raise DimensionMismatch(
+                f"measurement directions must have shape (n, 3) with n >= 1, got {dirs.shape}"
+            )
         if not _is_unit(dirs):
             norms = np.linalg.norm(dirs, axis=1)
             raise DimensionMismatch(f"measurement directions must be unit vectors, norms {norms}")
@@ -125,18 +130,50 @@ class Assemblage:
     sigma: np.ndarray
 
     def validate(self) -> "Assemblage":
+        """Return self if sigma is a finite (2, n, 2, 2) stack, no-signaling,
+        of unit total trace, with no block eigenvalue below -1e-10.
+
+        Raises:
+            InvalidBox: naming the violated constraint; for a block that is
+                not positive semidefinite, the first one in a-major order.
+        """
         sig = np.asarray(self.sigma)
+        if sig.ndim != 4 or sig.shape[0] != 2 or sig.shape[1] < 1 or sig.shape[2:] != (2, 2):
+            raise InvalidBox(f"assemblage shape {sig.shape} is not (2, n, 2, 2) with n >= 1")
+        # First: NaN passes every comparison below, and inf makes them warn.
+        if not np.isfinite(sig).all():
+            raise InvalidBox("assemblage has a non-finite entry")
         reduced = sig.sum(axis=0)  # (n, 2, 2)
         if np.abs(reduced - reduced[:1]).max() > ATOL_BOX:
             raise InvalidBox("assemblage signals: sum_a sigma(a|x) depends on x")
         traces = np.einsum("axii->x", sig).real
         if not np.abs(traces - 1.0).max() <= ATOL_BOX:
             raise InvalidBox(f"assemblage traces sum to {traces}, expected 1")
-        negative = np.argwhere(np.linalg.eigvalsh(sig).min(axis=-1) < -1e-10)
-        if negative.size:
-            a, x = negative[0]
-            raise InvalidBox(f"sigma({a}|{x}) is not positive semidefinite")
+        if not _clear_of_psd_floor(sig):
+            negative = np.argwhere(np.linalg.eigvalsh(sig).min(axis=-1) < -1e-10)
+            if negative.size:
+                a, x = negative[0]
+                raise InvalidBox(f"sigma({a}|{x}) is not positive semidefinite")
         return self
+
+
+def _clear_of_psd_floor(sig: np.ndarray) -> bool:
+    """Whether every 2x2 block of a finite stack certainly has no eigenvalue
+    below -1e-10, decided in plain floats; False leaves it to eigvalsh.
+
+    eigvalsh reads the real diagonal a, d and the lower entry b, and the
+    smaller eigenvalue of that Hermitian matrix is
+    (a + d)/2 - hypot((a - d)/2, |b|).  This formula and LAPACK each round
+    it by a small multiple of eps times the largest entry s, so a value at
+    least 1e-13 s (about 450 eps s) above -1e-10 is one that eigvalsh also
+    puts at or above -1e-10.
+    """
+    for s00, _, s10, s11 in sig.reshape(-1, 4).tolist():
+        a, d, b = s00.real, s11.real, abs(s10)
+        smaller = (a + d) / 2.0 - math.hypot((a - d) / 2.0, b)
+        if not smaller >= -1e-10 + 1e-13 * max(abs(a), abs(d), b):
+            return False
+    return True
 
 
 def _born_products(

@@ -8,6 +8,7 @@ discord/efficiency non-monotonicity witnesses.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -120,21 +121,30 @@ def encoding_directions(params: BellDiagonalParams, n: int) -> np.ndarray:
 
 def _encodings(c: np.ndarray) -> np.ndarray:
     """encoding_directions of the first n canonical components c."""
-    n = len(c)
-    if np.any(c == 0.0):
+    values = c.tolist()
+    if 0.0 in values:
         raise DegenerateAxis(
-            "encoding undefined when a relevant axis vanishes, canonical "
-            f"{tuple(float(v) for v in c)}"
+            f"encoding undefined when a relevant axis vanishes, canonical {tuple(values)}"
         )
     # Scaling by a power of two is exact, so tiny components invert without
-    # overflow and others give the same bits; a huge ratio's inverse is 0.
-    with np.errstate(over="ignore"):
-        inv = 1.0 / np.ldexp(c, -math.frexp(min(map(abs, c.tolist())))[1])
-    scale = float(np.sqrt(np.sum(inv**2)))
-    bits = _INPUT_BITS[n]
-    out = np.zeros((2**n, 3))
-    out[:, :n] = np.where(bits == 1, -1.0, 1.0) * inv / scale
-    return out
+    # overflow and others give the same bits; a component whose scaled value
+    # overflows has inverse 0, signed as 1/inf is.
+    shift = -math.frexp(min(map(abs, values)))[1]
+    inv = []
+    for v in values:
+        try:
+            inv.append(1.0 / math.ldexp(v, shift))
+        except OverflowError:
+            inv.append(math.copysign(0.0, v))
+    total = 0.0
+    for v in inv:
+        total += v * v  # first to last, as np.sum adds two or three terms
+    scale = math.sqrt(total)
+    unit = [v / scale for v in inv]
+    pad = [0.0] * (3 - len(unit))
+    # Row x negates the components whose bit of x is 1, most significant first.
+    signs = itertools.product((1.0, -1.0), repeat=len(unit))
+    return np.array([[s * u for s, u in zip(row, unit)] + pad for row in signs])
 
 
 def optimal_rac_spec(params: BellDiagonalParams, n: int) -> RacSpec:

@@ -231,11 +231,16 @@ def _canonical_head(params: BellDiagonalParams, n: int) -> np.ndarray:
 
 
 def _is_unit(vectors: np.ndarray) -> bool:
-    """Whether every row has norm within ATOL_MATRIX of 1 (NaN fails): the one
-    unit-norm bound of measurement sets, RAC encodings and projectors."""
-    v = np.atleast_2d(vectors)
-    norms = np.sqrt(np.add.reduce(v * v, axis=-1))  # np.linalg.norm's own rule
-    return bool((np.abs(norms - 1.0) <= ATOL_MATRIX).all())
+    """Whether every row of a (..., 3) array has norm within ATOL_MATRIX of 1
+    (NaN and inf fail): the one unit-norm bound of measurement sets, RAC
+    encodings and projectors.
+
+    Summed in plain floats, x first, as np.add.reduce (and so
+    np.linalg.norm) adds three squares, so every norm keeps its bits."""
+    return all(
+        abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= ATOL_MATRIX
+        for x, y, z in vectors.reshape(-1, 3).tolist()
+    )
 
 
 def _n_sigma(vectors: np.ndarray) -> np.ndarray:

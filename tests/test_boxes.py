@@ -291,6 +291,21 @@ class TestAssemblage:
         with pytest.raises(InvalidBox, match="traces"):
             Assemblage(sigma * (1 + 4e-6)).validate()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        """A NaN or inf off-diagonal pair in an otherwise valid assemblage is
+        named; comparisons and eigvalsh would let it through."""
+        sigma = np.array([[np.eye(2) / 4] * 2] * 2, dtype=complex)  # trace 1/2 per block
+        Assemblage(sigma).validate()
+        sigma[0, 0, 0, 1] = sigma[0, 0, 1, 0] = bad
+        with pytest.raises(InvalidBox, match="non-finite"):
+            Assemblage(sigma).validate()
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (3, 2, 2, 2), (2, 0, 2, 2), (2, 2, 4)])
+    def test_shape_checked(self, shape):
+        with pytest.raises(InvalidBox, match="shape"):
+            Assemblage(np.zeros(shape, dtype=complex)).validate()
+
     def test_first_negative_block_named_a_major(self):
         """validate names the first non-PSD sigma(a|x) in a-major order, as
         the per-block loop does.  Here sigma(1|0) and sigma(0|1) are the
