@@ -54,7 +54,7 @@ class MeasurementSet:
                 f"measurement directions must have shape (n, 3) with n >= 1, got {dirs.shape}"
             )
         if not _is_unit(dirs):
-            norms = np.linalg.norm(dirs, axis=1)
+            norms = np.array([math.hypot(*row) for row in dirs.tolist()])
             raise DimensionMismatch(f"measurement directions must be unit vectors, norms {norms}")
 
     @property
@@ -88,7 +88,7 @@ class Box:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
 
     def validate(self) -> "Box":
-        """Return self if all Box invariants hold.
+        """Return self if all Box invariants hold; numpy decides rejections.
 
         Raises:
             InvalidBox: naming the violated constraint.
@@ -97,6 +97,8 @@ class Box:
             raise InvalidBox(f"settings_per_side must be 2 or 3, got {self.n}")
         if self.p.shape != (self.n, self.n, 2, 2):
             raise InvalidBox(f"table shape {self.p.shape} != {(self.n, self.n, 2, 2)}")
+        if _clear_box(self.p):
+            return self
         if self.p.min() < -ATOL_BOX or self.p.max() > 1.0 + ATOL_BOX:
             raise InvalidBox(
                 f"entry out of [0,1]: min {self.p.min():.3g}, max {self.p.max():.3g}"
@@ -131,7 +133,8 @@ class Assemblage:
 
     def validate(self) -> "Assemblage":
         """Return self if sigma is a finite (2, n, 2, 2) stack, no-signaling,
-        of unit total trace, with no block eigenvalue below -1e-10.
+        of unit total trace, with no block eigenvalue below -1e-10.  What
+        _clear_assemblage accepts returns at once; numpy decides rejections.
 
         Raises:
             InvalidBox: naming the violated constraint; for a block that is
@@ -140,6 +143,8 @@ class Assemblage:
         sig = np.asarray(self.sigma)
         if sig.ndim != 4 or sig.shape[0] != 2 or sig.shape[1] < 1 or sig.shape[2:] != (2, 2):
             raise InvalidBox(f"assemblage shape {sig.shape} is not (2, n, 2, 2) with n >= 1")
+        if sig.dtype in (np.float64, np.complex128) and _clear_assemblage(sig):
+            return self
         # First: NaN passes every comparison below, and inf makes them warn.
         if not np.isfinite(sig).all():
             raise InvalidBox("assemblage has a non-finite entry")
@@ -149,31 +154,71 @@ class Assemblage:
         traces = np.einsum("axii->x", sig).real
         if not np.abs(traces - 1.0).max() <= ATOL_BOX:
             raise InvalidBox(f"assemblage traces sum to {traces}, expected 1")
-        if not _clear_of_psd_floor(sig):
-            negative = np.argwhere(np.linalg.eigvalsh(sig).min(axis=-1) < -1e-10)
-            if negative.size:
-                a, x = negative[0]
-                raise InvalidBox(f"sigma({a}|{x}) is not positive semidefinite")
+        # Not >=, so that the NaN of an overflowing block is named too.
+        negative = np.argwhere(~(np.linalg.eigvalsh(sig).min(axis=-1) >= -1e-10))
+        if negative.size:
+            a, x = negative[0]
+            raise InvalidBox(f"sigma({a}|{x}) is not positive semidefinite")
         return self
 
 
-def _clear_of_psd_floor(sig: np.ndarray) -> bool:
-    """Whether every 2x2 block of a finite stack certainly has no eigenvalue
-    below -1e-10, decided in plain floats; False leaves it to eigvalsh.
-
-    eigvalsh reads the real diagonal a, d and the lower entry b, and the
-    smaller eigenvalue of that Hermitian matrix is
-    (a + d)/2 - hypot((a - d)/2, |b|).  This formula and LAPACK each round
-    it by a small multiple of eps times the largest entry s, so a value at
-    least 1e-13 s (about 450 eps s) above -1e-10 is one that eigvalsh also
-    puts at or above -1e-10.
+def _clear_box(p: np.ndarray) -> bool:
+    """Whether a float table surely passes Box.validate, in plain floats;
+    False leaves it to numpy.  Bounds are the same comparisons (NaN fails),
+    and a marginal is a two-term sum, exact in any order.  Four entries in
+    [-1e-12, 1 + 1e-12] totalling 1 +- 1e-12 have magnitudes summing below
+    1 + 1e-11: two orders of adding them differ by < 2 * 1.5 eps of that,
+    and t - 1 is exact, so 1e-15 inside the bound is inside it for numpy.
     """
-    for s00, _, s10, s11 in sig.reshape(-1, 4).tolist():
-        a, d, b = s00.real, s11.real, abs(s10)
-        smaller = (a + d) / 2.0 - math.hypot((a - d) / 2.0, b)
-        if not smaller >= -1e-10 + 1e-13 * max(abs(a), abs(d), b):
+    n, lo, hi = p.shape[0], -ATOL_BOX, 1.0 + ATOL_BOX
+    rows = p.reshape(-1, 4).tolist()  # row x*n + y: p(00), p(01), p(10), p(11)
+    for k, (p00, p01, p10, p11) in enumerate(rows):
+        q00, q01, q10, q11 = rows[k - k % n]  # (x, 0)
+        r00, r01, r10, r11 = rows[k % n]  # (0, y)
+        if not (
+            lo <= p00 <= hi and lo <= p01 <= hi and lo <= p10 <= hi and lo <= p11 <= hi
+            and abs((p00 + p01) + (p10 + p11) - 1.0) <= ATOL_BOX - 1e-15
+            and abs((p00 + p01) - (q00 + q01)) <= ATOL_BOX
+            and abs((p10 + p11) - (q10 + q11)) <= ATOL_BOX
+            and abs((p00 + p10) - (r00 + r10)) <= ATOL_BOX
+            and abs((p01 + p11) - (r01 + r11)) <= ATOL_BOX
+        ):
             return False
     return True
+
+
+def _clear_assemblage(sig: np.ndarray) -> bool:
+    """The _clear_box of Assemblage.validate, on a float64 or complex128 stack.
+    A NaN or inf entry makes a signaling difference (at its x or x = 0) NaN
+    or inf.  The sums over a are exact, and parts within 1e-12/2 give a
+    modulus under 0.71e-12, past 1e-12 by no rounding of numpy's hypot.  A
+    block _clear_of_psd_floor clears has diagonal entries above -1e-10, so
+    a trace is cleared at the band of _clear_box, by its argument.
+    """
+    zeroth, first = sig.reshape(2, -1, 4).tolist()
+    base = [u + v for u, v in zip(zeroth[0], first[0])]  # sum over a at x = 0
+    for p, q in zip(zeroth, first):
+        for s00, _, s10, s11 in (p, q):
+            if not _clear_of_psd_floor(s00.real, s11.real, math.hypot(s10.real, s10.imag)):
+                return False
+        if not abs((p[0].real + p[3].real) + (q[0].real + q[3].real) - 1.0) <= ATOL_BOX - 1e-15:
+            return False
+        for diff in (u + v - w for u, v, w in zip(p, q, base)):
+            if not (abs(diff.real) <= ATOL_BOX / 2 and abs(diff.imag) <= ATOL_BOX / 2):
+                return False
+    return True
+
+
+def _clear_of_psd_floor(a: float, d: float, b: float) -> bool:
+    """Whether the Hermitian block eigvalsh reads, real diagonal a, d and
+    lower entry of modulus b, surely has no eigenvalue below -1e-10; False
+    leaves it to eigvalsh.  Its smaller eigenvalue is (a + d)/2 -
+    hypot((a - d)/2, b); this formula and LAPACK each round it by a small
+    multiple of eps times the largest entry s, so a value 1e-13 s (about
+    450 eps s) above -1e-10 is one eigvalsh also puts at or above -1e-10.
+    """
+    smaller = (a + d) / 2.0 - math.hypot((a - d) / 2.0, b)
+    return smaller >= -1e-10 + 1e-13 * max(abs(a), abs(d), b)
 
 
 def _born_products(

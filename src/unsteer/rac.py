@@ -61,7 +61,7 @@ class RacSpec:
                 f"got shape {enc.shape}"
             )
         if not _is_unit(enc):
-            norms = np.linalg.norm(enc, axis=1)
+            norms = np.array([math.hypot(*row) for row in enc.tolist()])
             raise NonUnitDirection(
                 f"encoding directions must be unit vectors, worst norm {norms.max()}"
             )
@@ -280,19 +280,17 @@ class SweepReport:
 
 def _separable_canonical_grid(step: float) -> np.ndarray:
     """All canonical triples on the step grid with c1 + c2 + |c3| <= 1, which
-    for canonical triples is exactly 'physical and separable'."""
+    for canonical triples is exactly 'physical and separable': i1 >= i2 >= i3
+    with i1 + i2 + i3 <= s, the largest s with s * step <= 1 + 1e-12.  Row k
+    of the run of an (i1, i2) has c3 = 0, -step, +step, -2 step, ..."""
     m = int(round(1.0 / step))
-    rows: list[tuple[float, float, float]] = []
-    for i1 in range(m + 1):
-        for i2 in range(i1 + 1):
-            for i3 in range(i2 + 1):
-                if (i1 + i2 + i3) * step > 1.0 + 1e-12:
-                    break
-                c1, c2, mag = i1 * step, i2 * step, i3 * step
-                rows.append((c1, c2, -mag))
-                if i3 > 0:
-                    rows.append((c1, c2, mag))
-    return np.array(rows) + 0.0  # normalize any -0.0
+    s = int(np.flatnonzero(np.arange(3 * m + 1) * step <= 1.0 + 1e-12)[-1])
+    i1, i2 = np.tril_indices(m + 1)
+    runs = np.maximum(2 * np.minimum(i2, s - i1 - i2) + 1, 0)  # rows per (i1, i2)
+    k = np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+    mag = ((k + 1) >> 1) * step
+    c3 = np.where(k & 1 == 1, -mag, mag)
+    return np.column_stack([np.repeat(i1 * step, runs), np.repeat(i2 * step, runs), c3]) + 0.0
 
 
 def _evaluate_grid(triples: np.ndarray, n: int) -> tuple[np.ndarray, ...]:

@@ -34,8 +34,6 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # The terms of every Bell-diagonal matrix: I (x) I and sigma_i (x) sigma_i.
 _IDENTITY_4 = np.kron(IDENTITY_2, IDENTITY_2)
 _PAULI_PAIRS = tuple(np.kron(sigma, sigma) for sigma in PAULIS)
-# (-1)^outcome for outcomes 0 and 1, shaped to scale a stack of 2x2 matrices.
-_OUTCOME_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -233,7 +231,7 @@ def _canonical_head(params: BellDiagonalParams, n: int) -> np.ndarray:
 def _is_unit(vectors: np.ndarray) -> bool:
     """Whether every row of a (..., 3) array has norm within ATOL_MATRIX of 1
     (NaN and inf fail): the one unit-norm bound of measurement sets, RAC
-    encodings and projectors.
+    encodings and projectors (_projectors runs it row by row in its pass).
 
     Summed in plain floats, x first, as np.add.reduce (and so
     np.linalg.norm) adds three squares, so every norm keeps its bits."""
@@ -243,18 +241,14 @@ def _is_unit(vectors: np.ndarray) -> bool:
     )
 
 
-def _n_sigma(vectors: np.ndarray) -> np.ndarray:
-    """n.sigma for every row n of a (..., 3) array, shape (..., 2, 2).
-
-    Summed from 0 term by term, x first, as the scalar formula is, so that
-    every entry keeps its bits, signed zeros included."""
-    v = np.asarray(vectors, dtype=float)[..., None, None]
-    return 0 + v[..., 0, :, :] * SIGMA_X + v[..., 1, :, :] * SIGMA_Y + v[..., 2, :, :] * SIGMA_Z
-
-
 def _projectors(directions: np.ndarray) -> np.ndarray:
     """(I + (-1)^a n.sigma)/2 for every row n of a (..., 3) array and outcome
-    a, shape (..., 2, 2, 2).
+    a, shape (..., 2, 2, 2), written out in plain floats in the pass that
+    runs _is_unit's check.  With h(t) = (0.0 + t)/2, outcome 0 is
+    [[(1+z)/2, h(x) + i h(-y)], [h(x) + i h(y), (1-z)/2]] and outcome 1 is
+    [[(1-z)/2, h(-x) + i h(y)], [h(-x) + i h(-y), (1+z)/2]], with +0
+    diagonal imaginary parts: the bits of numpy's broadcast
+    (I + (-1)^a (0 + n.sigma))/2, whose 0 + also turns -0 into +0.
 
     Raises:
         DimensionMismatch: when the rows are not 3-vectors.
@@ -263,9 +257,14 @@ def _projectors(directions: np.ndarray) -> np.ndarray:
     dirs = np.asarray(directions, dtype=float)
     if dirs.shape[-1:] != (3,):
         raise DimensionMismatch(f"directions must be 3-vectors, got shape {dirs.shape}")
-    if not _is_unit(dirs):
-        raise NonUnitDirection(f"direction {dirs} has norm {np.linalg.norm(dirs, axis=-1)}")
-    return (IDENTITY_2 + _OUTCOME_SIGNS * _n_sigma(dirs)[..., None, :, :]) / 2.0
+    entries = []
+    for x, y, z in dirs.reshape(-1, 3).tolist():
+        if not abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= ATOL_MATRIX:
+            raise NonUnitDirection(f"direction {[x, y, z]} has norm {math.hypot(x, y, z)}")
+        up, down = (1.0 + z) / 2.0, (1.0 - z) / 2.0
+        hx, hy, mx, my = (0.0 + x) / 2.0, (0.0 + y) / 2.0, (0.0 - x) / 2.0, (0.0 - y) / 2.0
+        entries += (up, 0.0, hx, my, hx, hy, down, 0.0, down, 0.0, mx, hy, mx, my, up, 0.0)
+    return np.array(entries, dtype=float).view(complex).reshape(dirs.shape[:-1] + (2, 2, 2))
 
 
 def projector_matrix(p: Projector) -> ComplexMatrix:
@@ -280,7 +279,9 @@ def projector_matrix(p: Projector) -> ComplexMatrix:
 
 def state_from_bloch(r: np.ndarray) -> DensityMatrix:
     """Qubit state (I + r.sigma)/2; positive-semidefinite iff |r| <= 1."""
-    return (IDENTITY_2 + _n_sigma(r)) / 2.0
+    v = np.asarray(r, dtype=float)[..., None, None]
+    n_sigma = 0 + v[..., 0, :, :] * SIGMA_X + v[..., 1, :, :] * SIGMA_Y + v[..., 2, :, :] * SIGMA_Z
+    return (IDENTITY_2 + n_sigma) / 2.0
 
 
 def partial_transpose(rho: ComplexMatrix) -> ComplexMatrix:

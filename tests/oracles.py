@@ -115,6 +115,24 @@ def model_box_loops(weights, alice_tables, bob_states, bob_dirs):
     return p
 
 
+def separable_grid_loops(step):
+    """Canonical grid triples with c1 + c2 + |c3| <= 1, by a triple loop over
+    i1 >= i2 >= i3 that stops each i3 run at the first index sum past the
+    bound; the negative c3 comes before the positive one."""
+    m = int(round(1.0 / step))
+    rows = []
+    for i1 in range(m + 1):
+        for i2 in range(i1 + 1):
+            for i3 in range(i2 + 1):
+                if (i1 + i2 + i3) * step > 1.0 + 1e-12:
+                    break
+                c1, c2, mag = i1 * step, i2 * step, i3 * step
+                rows.append((c1, c2, -mag))
+                if i3 > 0:
+                    rows.append((c1, c2, mag))
+    return np.array(rows) + 0.0
+
+
 def sweep_csv_loop(report):
     """Sweep CSV lines formatted one float at a time: header, the triple,
     a literal true, then strength, efficiency and discord, each as a

@@ -7,12 +7,15 @@ matrix product, and `boxes._born_traces` reads traces from the real
 diagonal.  The references below run the path those replace: one 4x4
 `np.kron(A, B) @ rho` per product and `np.trace(...).real`.  Equality is
 asserted bit for bit, signed zeros included.  The same holds for
-`rac._encodings`; `states._is_unit` and the closed-form PSD test of
-`Assemblage.validate` must give the numpy rule's verdicts.
+`rac._encodings` and the closed-form projector stack of
+`states._projectors`; `states._is_unit`, the closed-form PSD test and the
+plain-float passes of `Box.validate` and `Assemblage.validate` must give
+the numpy rules' verdicts, and the validators their messages.
 """
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,12 +23,14 @@ import pytest
 from unsteer import (
     Assemblage,
     BellDiagonalParams,
+    Box,
     DegenerateAxis,
     DimensionMismatch,
     InvalidBox,
     MeasurementSet,
     NonUnitDirection,
     PreconditionViolated,
+    Projector,
     RacSpec,
     UnphysicalParams,
     UnsupportedN,
@@ -36,14 +41,29 @@ from unsteer import (
     canonical_split_2set,
     canonical_split_3set,
     optimal_rac_spec,
+    projector_matrix,
     rac_efficiency_bd,
     simulate_rac,
     steering_functional,
     white_noise_bb84,
 )
-from unsteer.boxes import _born_traces, _clear_of_psd_floor
+from unsteer.boxes import (
+    ATOL_BOX,
+    _born_traces,
+    _clear_assemblage,
+    _clear_box,
+    _clear_of_psd_floor,
+)
 from unsteer.rac import _encodings
-from unsteer.states import ATOL_MATRIX, IDENTITY_2, _is_unit, _projectors
+from unsteer.states import (
+    ATOL_MATRIX,
+    IDENTITY_2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _is_unit,
+    _projectors,
+)
 
 from oracles import random_physical_triple, random_unit_vectors
 
@@ -162,6 +182,15 @@ def reference_first_negative(sig):
     return tuple(int(i) for i in negative[0]) if negative.size else None
 
 
+def clears_psd_floor(stack) -> bool:
+    """_clear_of_psd_floor on every block of a stack, fed the entries that
+    eigvalsh reads: the real diagonal and the lower entry's modulus."""
+    return all(
+        _clear_of_psd_floor(s00.real, s11.real, abs(s10))
+        for s00, _, s10, s11 in stack.reshape(-1, 4).tolist()
+    )
+
+
 def reference_encodings(c: np.ndarray) -> np.ndarray:
     """The numpy rule that rac._encodings replaces."""
     n = len(c)
@@ -249,7 +278,7 @@ class TestScalarKernels:
             if trial % 7 == 0:
                 block = block + 1j * np.diag(rng.normal(size=2))  # eigvalsh reads real parts
             stack = block[None, None]
-            if _clear_of_psd_floor(stack):
+            if clears_psd_floor(stack):
                 cleared += 1
                 assert reference_first_negative(stack) is None, block
             else:
@@ -260,8 +289,8 @@ class TestScalarKernels:
         lower = np.array([[0.5, 0.0], [0.6, 0.5]], dtype=complex)[None, None]
         upper = np.array([[0.5, 0.6], [0.0, 0.5]], dtype=complex)[None, None]
         assert np.linalg.eigvalsh(lower).min() == pytest.approx(-0.1)
-        assert not _clear_of_psd_floor(lower) and reference_first_negative(lower) == (0, 0)
-        assert _clear_of_psd_floor(upper) and reference_first_negative(upper) is None
+        assert not clears_psd_floor(lower) and reference_first_negative(lower) == (0, 0)
+        assert clears_psd_floor(upper) and reference_first_negative(upper) is None
 
     def test_validate_names_the_block_eigvalsh_names(self):
         """Assemblages with one block's smaller eigenvalue at -1e-10 give or
@@ -320,6 +349,254 @@ class TestScalarKernels:
         assert zeros > 100
         with pytest.raises(DegenerateAxis):
             _encodings(np.array([0.6, -0.0]))
+
+
+def reference_projectors(directions) -> np.ndarray:
+    """The broadcast rule that states._projectors replaces: n.sigma summed
+    from 0 term by term, x first, then (I + (-1)^a n.sigma)/2."""
+    v = np.asarray(directions, dtype=float)[..., None, None]
+    n_sigma = (
+        0 + v[..., 0, :, :] * SIGMA_X + v[..., 1, :, :] * SIGMA_Y + v[..., 2, :, :] * SIGMA_Z
+    )
+    signs = np.array([1.0, -1.0])[:, None, None]
+    return (IDENTITY_2 + signs * n_sigma[..., None, :, :]) / 2.0
+
+
+def signed_zero_rows() -> np.ndarray:
+    """Unit rows with one or two components +-0.0, in every sign pattern."""
+    rows = []
+    r = math.sqrt(0.5)
+    for sx, sy, sz in itertools.product((1.0, -1.0), repeat=3):
+        rows += [
+            [sx * 0.0, sy * 0.6, sz * 0.8], [sx * 0.6, sy * 0.0, sz * 0.8],
+            [sx * 0.6, sy * 0.8, sz * 0.0], [sx * r, sy * r, sz * 0.0],
+            [sx * 1.0, sy * 0.0, sz * 0.0], [sx * 0.0, sy * 1.0, sz * 0.0],
+            [sx * 0.0, sy * 0.0, sz * 1.0],
+        ]
+    return np.array(rows)
+
+
+class TestProjectorStack:
+    """The closed-form projector stack against the broadcast rule, bit for
+    bit, signed zeros included."""
+
+    def test_signed_axes_and_zeros(self):
+        for rows in (_SIGNED_AXES, signed_zero_rows()):
+            assert same_bits(_projectors(rows), reference_projectors(rows))
+            for row in rows:
+                assert same_bits(_projectors(row), reference_projectors(row))
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(3101)
+        zeros = signed_zero_rows()
+        for _ in range(10_000):
+            size = int(rng.integers(1, 9))
+            rows = random_unit_vectors(rng, size)
+            pick = rng.random(size) < 0.2
+            rows[pick] = zeros[rng.integers(len(zeros), size=int(pick.sum()))]
+            assert same_bits(_projectors(rows), reference_projectors(rows)), rows
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 2), (3, 1)])
+    def test_stacked_shapes(self, shape):
+        rng = np.random.default_rng(3102 + shape[0])
+        rows = random_unit_vectors(rng, shape[0] * shape[1]).reshape(*shape, 3)
+        stack = _projectors(rows)
+        assert stack.shape == (*shape, 2, 2, 2)
+        assert same_bits(stack, reference_projectors(rows))
+
+    def test_projector_matrix(self):
+        rng = np.random.default_rng(3103)
+        rows = np.concatenate([_SIGNED_AXES, signed_zero_rows(), random_unit_vectors(rng, 50)])
+        for row in rows:
+            for outcome in (0, 1, 2, -1):
+                want = reference_projectors(row)[outcome % 2]
+                assert same_bits(projector_matrix(Projector(row, outcome)), want)
+
+
+def reference_box_error(p: np.ndarray):
+    """The numpy checks of Box.validate on a (n, n, 2, 2) table: the message
+    of the first one violated, or None."""
+    if p.min() < -ATOL_BOX or p.max() > 1.0 + ATOL_BOX:
+        return f"entry out of [0,1]: min {p.min():.3g}, max {p.max():.3g}"
+    totals = p.sum(axis=(2, 3))
+    if not np.abs(totals - 1.0).max() <= ATOL_BOX:
+        x, y = np.unravel_index(np.argmax(np.abs(totals - 1.0)), totals.shape)
+        return f"normalization violated at (x,y)=({x}, {y}): sum={totals[x, y]}"
+    alice = p.sum(axis=3)
+    if np.abs(alice - alice[:, :1, :]).max() > ATOL_BOX:
+        return "no-signaling violated: Alice marginal depends on y"
+    bob = p.sum(axis=2)
+    if np.abs(bob - bob[:1, :, :]).max() > ATOL_BOX:
+        return "no-signaling violated: Bob marginal depends on x"
+    return None
+
+
+def reference_assemblage_error(sig: np.ndarray):
+    """The numpy checks of Assemblage.validate on a (2, n, 2, 2) stack: the
+    message of the first one violated, or None."""
+    if not np.isfinite(sig).all():
+        return "assemblage has a non-finite entry"
+    reduced = sig.sum(axis=0)
+    if np.abs(reduced - reduced[:1]).max() > ATOL_BOX:
+        return "assemblage signals: sum_a sigma(a|x) depends on x"
+    traces = np.einsum("axii->x", sig).real
+    if not np.abs(traces - 1.0).max() <= ATOL_BOX:
+        return f"assemblage traces sum to {traces}, expected 1"
+    first = reference_first_negative(sig)
+    return None if first is None else f"sigma({first[0]}|{first[1]}) is not positive semidefinite"
+
+
+def verdict(value):
+    """The message validate raises for a Box or an Assemblage, or None."""
+    try:
+        value.validate()
+    except InvalidBox as exc:
+        return str(exc)
+    return None
+
+
+def deterministic_box(f, g) -> np.ndarray:
+    """p(ab|xy) of the deterministic strategies a = f(x), b = g(y)."""
+    n = len(f)
+    p = np.zeros((n, n, 2, 2))
+    for x, y in itertools.product(range(n), repeat=2):
+        p[x, y, f[x], g[y]] = 1.0
+    return p
+
+
+def moved_boxes(rng, n):
+    """Valid tables with one check at its bound, give or take 1-4 ulps, or a
+    non-finite entry."""
+    steps = [k for k in range(-4, 5) if k]
+    for _ in range(6):
+        f, g = rng.integers(2, size=n), rng.integers(2, size=n)
+        p = deterministic_box(f, g)
+        x, y, a, b = (int(v) for v in rng.integers([n, n, 2, 2]))
+        for k in steps:
+            q = p.copy()  # an entry at -1e-12 or 1 + 1e-12, its total moved too
+            q[x, y, a, b] = _ulp_steps(-ATOL_BOX if q[x, y, a, b] == 0.0 else 1.0 + ATOL_BOX, k)
+            yield q
+            eps = _ulp_steps(ATOL_BOX, k)
+            q = p.copy()  # p(1 - g(y)|y) = -eps at every x: entries at -1e-12
+            for i in range(n):
+                q[i, y, f[i], 1 - g[y]] = -eps
+                q[i, y, f[i], g[y]] = 1.0 + eps
+            yield q
+            eps = _ulp_steps(1.0 + ATOL_BOX, k) - 1.0
+            q = p.copy()  # every 1 at 1 + eps and two 0s at -eps/2: entries at 1 + 1e-12
+            for i, j in itertools.product(range(n), repeat=2):
+                q[i, j, f[i], g[j]] = 1.0 + eps
+                q[i, j, f[i], 1 - g[j]] = q[i, j, 1 - f[i], g[j]] = -eps / 2.0
+            yield q
+    for _ in range(12):
+        d = random_directions(rng, n)
+        rho, axes = bell_diagonal(random_triple(rng)), MeasurementSet(d)
+        p = box_from_state(rho, axes, axes).p
+        x, y, a, b = (int(v) for v in rng.integers([n, n, 2, 2]))
+        for k in steps:
+            q = p.copy()  # one total at 1 +- 1e-12
+            q[x, y, a, b] = _ulp_steps(q[x, y, a, b] + rng.choice([-1.0, 1.0]) * ATOL_BOX, k)
+            yield q
+            delta = _ulp_steps(ATOL_BOX, k)
+            q = p.copy()  # Alice's marginal moved, the total kept
+            q[x, y, a, 0] += delta
+            q[x, y, 1 - a, 0] -= delta
+            yield q
+            q = p.copy()  # Bob's marginal moved, the total kept
+            q[x, y, 0, b] += delta
+            q[x, y, 0, 1 - b] -= delta
+            yield q
+        for index in itertools.product(range(n), range(n), (0, 1), (0, 1)):
+            for bad in (math.nan, math.inf, -math.inf):
+                q = p.copy()
+                q[index] = bad
+                yield q
+
+
+def moved_assemblages(rng, n):
+    """Valid stacks with one check at its bound, give or take 1-4 ulps, or a
+    non-finite entry, as complex128 and, for real stacks, float64."""
+    steps = [k for k in range(-4, 5) if k]
+    for trial in range(12):
+        d = random_directions(rng, n)
+        if trial % 4 == 0:
+            d[:, 1] = 0.0  # x-z plane: a real stack
+            d[(d == 0.0).all(axis=1), 2] = 1.0
+            d /= np.linalg.norm(d, axis=1, keepdims=True)
+        sig = assemblage_from_state(bell_diagonal(random_triple(rng)), MeasurementSet(d)).sigma
+        if trial % 4 == 0:
+            assert not sig.imag.any()
+            sig = np.ascontiguousarray(sig.real)
+        x = int(rng.integers(n))
+        for k in steps:
+            s = sig.copy()  # every trace at 1 +- 1e-12 +- k ulps of 1, no signaling added
+            s[0, :, 0, 0] += rng.choice([-1.0, 1.0]) * (_ulp_steps(1.0 + ATOL_BOX, k) - 1.0)
+            yield s
+            delta = _ulp_steps(ATOL_BOX, k)
+            s = sig.copy()  # a signaling offset in an upper entry
+            s[0, x, 0, 1] += delta
+            yield s
+            s = sig.copy()  # a signaling offset on the diagonal, trace kept
+            s[1, x, 0, 0] += delta
+            s[1, x, 1, 1] -= delta
+            yield s
+            if sig.dtype == complex:
+                s = sig.copy()  # a complex offset of modulus near 1e-12
+                s[1, x, 1, 0] += delta * complex(0.6, 0.8)
+                yield s
+        for i in range(sig.size * (2 if sig.dtype == complex else 1)):
+            for bad in (math.nan, math.inf, -math.inf):
+                s = sig.copy()
+                s.view(float).reshape(-1)[i] = bad  # a real or imaginary part
+                yield s
+    for _ in range(40):  # one block's smaller eigenvalue at -1e-10
+        first = [_block(0.1, 0.4, u) for u in random_unit_vectors(rng, n)]
+        lam = _ulp_steps(-1e-10, int(rng.integers(-4, 5)))
+        first[int(rng.integers(n))] = _block(lam, 0.4, random_unit_vectors(rng, 1)[0])
+        yield np.array([first, [np.eye(2) / 2 - b for b in first]])
+
+
+class TestValidatorKernels:
+    """Box.validate and Assemblage.validate clear tables in plain floats; on
+    every table moved to a bound, validate gives the numpy checks' verdict
+    and message, so the fast path never accepts what they reject."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_box_verdicts_match_numpy_checks(self, n):
+        rng = np.random.default_rng(3110 + n)
+        accepted = rejected = 0
+        for p in moved_boxes(rng, n):
+            want = reference_box_error(p)
+            assert verdict(Box(n, p)) == want, p
+            accepted += want is None
+            rejected += want is not None
+        assert accepted > 100 and rejected > 200
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_assemblage_verdicts_match_numpy_checks(self, n):
+        rng = np.random.default_rng(3120 + n)
+        accepted = rejected = 0
+        for sig in moved_assemblages(rng, n):
+            want = reference_assemblage_error(sig)
+            assert verdict(Assemblage(sig)) == want, sig
+            accepted += want is None
+            rejected += want is not None
+        assert accepted > 50 and rejected > 200
+
+    def test_fast_paths_clear_valid_tables(self):
+        """State-made boxes and assemblages pass the plain-float checks;
+        single-precision stacks get the numpy checks' verdict."""
+        rng = np.random.default_rng(3130)
+        for n in (2, 3):
+            for _ in range(50):
+                rho = bell_diagonal(random_triple(rng))
+                alice = MeasurementSet(random_directions(rng, n))
+                bob = MeasurementSet(random_directions(rng, n))
+                assert _clear_box(box_from_state(rho, alice, bob).p)
+                assert _clear_assemblage(assemblage_from_state(rho, alice).sigma)
+        sig = assemblage_from_state(_RHO, MeasurementSet(np.eye(3)[[0, 2]])).sigma.real
+        for single in (sig.astype(np.float32), sig.astype(np.complex64)):
+            assert verdict(Assemblage(single)) == reference_assemblage_error(single)
 
 
 def _scaled_set(directions) -> MeasurementSet:
@@ -440,6 +717,21 @@ class TestNoCheckLost:
         call, error = CHECKS[name]
         with pytest.raises(error):
             call()
+
+    @pytest.mark.parametrize("site", ["set", "projectors", "spec"])
+    def test_huge_component_raises_without_warning(self, site):
+        """A 1e200 component overflows a squared norm; the unit checks and
+        their messages raise the named error with no RuntimeWarning."""
+        huge = np.array([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e200], [1.0, 0.0, 0.0]])
+        call, error = {
+            "set": (lambda: MeasurementSet(huge), DimensionMismatch),
+            "projectors": (lambda: _projectors(huge[1:3]), NonUnitDirection),
+            "spec": (lambda: RacSpec(2, _UNPHYSICAL, huge), NonUnitDirection),
+        }[site]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="e\\+200"):
+                call()
 
     @pytest.mark.parametrize("split", [canonical_split_2set, canonical_split_3set])
     def test_splits_return_their_own_beta01(self, split):

@@ -301,6 +301,15 @@ class TestAssemblage:
         with pytest.raises(InvalidBox, match="non-finite"):
             Assemblage(sigma).validate()
 
+    def test_overflowing_block_named(self):
+        """A finite lower entry whose modulus overflows, cancelled by the
+        other outcome, gives eigvalsh NaN: the block is named as not PSD."""
+        sigma = np.array([[np.eye(2) / 4] * 2] * 2, dtype=complex)
+        sigma[0, 0, 1, 0] = 1.5e308 + 1.5e308j
+        sigma[1, 0, 1, 0] = -sigma[0, 0, 1, 0]
+        with pytest.raises(InvalidBox, match=r"sigma\(0\|0\) is not positive"):
+            Assemblage(sigma).validate()
+
     @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (3, 2, 2, 2), (2, 0, 2, 2), (2, 2, 4)])
     def test_shape_checked(self, shape):
         with pytest.raises(InvalidBox, match="shape"):

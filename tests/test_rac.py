@@ -22,6 +22,7 @@ from unsteer import (
     sweep_csv_lines,
     sweep_separable_max,
 )
+from unsteer.rac import _separable_canonical_grid
 
 from oracles import (
     FROZEN,
@@ -29,6 +30,7 @@ from oracles import (
     rac_table_loops,
     random_physical_triple,
     random_unit_vectors,
+    separable_grid_loops,
     sweep_csv_loop,
 )
 
@@ -288,6 +290,13 @@ class TestSweep:
         rep = sweep_separable_max(n, 0.05)
         for triple, efficiency in zip(rep.triples.tolist(), rep.efficiency.tolist()):
             assert rac_efficiency_bd(BellDiagonalParams(*triple), n) == efficiency, triple
+
+    @pytest.mark.parametrize("step", [0.1, 0.07, 0.05, 0.03, 0.01, 0.005])
+    def test_grid_matches_loop_oracle(self, step):
+        """The grid built from runs of c3 holds the triple loop's rows in
+        its order, byte for byte."""
+        grid = _separable_canonical_grid(step)
+        assert grid.tobytes() == separable_grid_loops(step).tobytes()
 
     def test_witness_pair_semantics(self):
         """The witness pair has strictly higher discord yet lower efficiency."""
