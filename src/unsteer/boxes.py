@@ -5,9 +5,10 @@ steering witness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,14 +23,12 @@ from .states import (
     DensityMatrix,
     IDENTITY_2,
     _check_n,
-    _is_unit,
     _projectors,
 )
 
 ATOL_BOX = 1e-12
 ATOL_MUB = 1e-9
 
-_AXES = np.eye(3)
 # (-1)^(a+b) for (a, b) = 00, 01, 10, 11.
 _CORRELATOR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
@@ -41,21 +40,26 @@ class MeasurementSet:
     Outcome b of a measurement along n-hat carries eigenvalue (-1)^b.  An
     outcome relabeling (b -> 1-b) is represented by negating the direction,
     so the flip convention is recorded in the set itself rather than assumed
-    globally.
+    globally.  Construction checks a read-only copy of the directions once,
+    building the projector stack every Born-rule call reads; copies re-check.
     """
 
-    directions: np.ndarray  # shape (n, 3)
+    directions: np.ndarray  # shape (n, 3), read-only
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dirs = np.atleast_2d(np.asarray(self.directions, dtype=float))
-        object.__setattr__(self, "directions", dirs)
+        dirs = np.array(self.directions, dtype=float, ndmin=2)
         if dirs.ndim != 2 or dirs.shape[0] < 1 or dirs.shape[1] != 3:
             raise DimensionMismatch(
                 f"measurement directions must have shape (n, 3) with n >= 1, got {dirs.shape}"
             )
-        if not _is_unit(dirs):
-            norms = np.array([math.hypot(*row) for row in dirs.tolist()])
-            raise DimensionMismatch(f"measurement directions must be unit vectors, norms {norms}")
+        stack = _projectors(dirs)
+        dirs.flags.writeable = stack.flags.writeable = False
+        object.__setattr__(self, "directions", dirs)
+        object.__setattr__(self, "_stack", stack)
+
+    def __reduce__(self):
+        return type(self), (self.directions,)
 
     @property
     def n(self) -> int:
@@ -67,10 +71,11 @@ class MeasurementSet:
         return bool(np.all(np.abs(g - np.eye(self.n)) <= ATOL_MUB))
 
 
+@functools.lru_cache(maxsize=None)
 def pauli_axes(n: int) -> MeasurementSet:
-    """The aligned Pauli set: x-hat, y-hat (and z-hat for n = 3)."""
+    """The aligned Pauli set x-hat, y-hat (and z-hat for n = 3): one shared set per n."""
     _check_n(n)
-    return MeasurementSet(_AXES[:n].copy())
+    return MeasurementSet(np.eye(3)[:n])
 
 
 @dataclass(frozen=True)
@@ -148,10 +153,12 @@ class Assemblage:
         # First: NaN passes every comparison below, and inf makes them warn.
         if not np.isfinite(sig).all():
             raise InvalidBox("assemblage has a non-finite entry")
-        reduced = sig.sum(axis=0)  # (n, 2, 2)
-        if np.abs(reduced - reduced[:1]).max() > ATOL_BOX:
-            raise InvalidBox("assemblage signals: sum_a sigma(a|x) depends on x")
-        traces = np.einsum("axii->x", sig).real
+        # A sum past the float range fails a check below as inf or NaN, unwarned.
+        with np.errstate(over="ignore", invalid="ignore"):
+            reduced = sig.sum(axis=0)  # (n, 2, 2)
+            if np.abs(reduced - reduced[:1]).max() > ATOL_BOX:
+                raise InvalidBox("assemblage signals: sum_a sigma(a|x) depends on x")
+            traces = np.einsum("axii->x", sig).real
         if not np.abs(traces - 1.0).max() <= ATOL_BOX:
             raise InvalidBox(f"assemblage traces sum to {traces}, expected 1")
         # Not >=, so that the NaN of an overflowing block is named too.
@@ -263,7 +270,7 @@ def box_from_state(rho: DensityMatrix, alice: MeasurementSet, bob: MeasurementSe
         raise DimensionMismatch(f"state must be 4x4, got {rho.shape}")
     if alice.n != bob.n:
         raise DimensionMismatch(f"setting counts differ: {alice.n} vs {bob.n}")
-    products = _born_products(rho, _projectors(alice.directions), _projectors(bob.directions))
+    products = _born_products(rho, alice._stack, bob._stack)
     return Box(alice.n, _born_traces(products)).validate()
 
 
@@ -304,7 +311,7 @@ def assemblage_from_state(rho: DensityMatrix, alice: MeasurementSet) -> Assembla
     rho = np.asarray(rho)
     if rho.shape != (4, 4):
         raise DimensionMismatch(f"state must be 4x4, got {rho.shape}")
-    products = _born_products(rho, _projectors(alice.directions), IDENTITY_2[None, None])
+    products = _born_products(rho, alice._stack, IDENTITY_2[None, None])
     sigma = products[:, 0, :, 0].reshape(alice.n, 2, 2, 2, 2, 2).trace(axis1=2, axis2=4)
     return Assemblage(sigma.swapaxes(0, 1)).validate()
 

@@ -534,13 +534,15 @@ def verify_lhv_lhs(model: LhvLhsModel, target: Box, tol: float) -> tuple[bool, f
         raise InvalidModel("model entry is not finite")
     if w.min() < -WEIGHT_SLACK:
         raise InvalidModel(f"negative weight {w.min():.3g}")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise InvalidModel(f"weights sum to {w.sum()}, expected 1")
-    if tables.min() < -WEIGHT_SLACK:
-        raise InvalidModel("negative response probability in an Alice table")
-    if np.abs(tables.sum(axis=2) - 1.0).max() > 1e-9:
-        raise InvalidModel("non-stochastic Alice response table")
-    norms = np.linalg.norm(states, axis=1)
+    # A sum or square past the float range fails its check as inf, unwarned.
+    with np.errstate(over="ignore"):
+        if abs(w.sum() - 1.0) > 1e-9:
+            raise InvalidModel(f"weights sum to {w.sum()}, expected 1")
+        if tables.min() < -WEIGHT_SLACK:
+            raise InvalidModel("negative response probability in an Alice table")
+        if np.abs(tables.sum(axis=2) - 1.0).max() > 1e-9:
+            raise InvalidModel("non-stochastic Alice response table")
+        norms = np.linalg.norm(states, axis=1)
     if norms.max() > 1.0 + BLOCH_SLACK:
         raise InvalidModel(f"Bloch norm {norms.max():.6g} exceeds 1")
     if model.bob_directions.n != target.n:
@@ -687,7 +689,7 @@ class _SearchContext:
         self.margin = self.n * (12.0 + 16.0 * tol) * tol
         self.uniform_alice = np.abs(alice - 0.5).max() <= 1e-9
         self.uniform_bob = np.abs(bob - 0.5).max() <= 1e-9
-        self.orthonormal = bob_dirs is _pauli_set(self.n) or bob_dirs.is_mub()
+        self.orthonormal = bob_dirs is pauli_axes(self.n) or bob_dirs.is_mub()
         self.diag_norm = float(np.sqrt((np.diag(corr) ** 2).sum()))
 
     # Built on first use: a search retired by a blanket reason never reads it.
@@ -979,16 +981,6 @@ def search_lhs_bounded(
     return InfeasibilityTrace(d, cases, sound, sound)
 
 
-@functools.lru_cache(maxsize=None)
-def _pauli_set(n: int) -> MeasurementSet:
-    """certify_quantumness's Bob directions: the aligned Pauli set, built on
-    first use, once per n, and read-only.  It is orthonormal, so a search on
-    it runs no is_mub."""
-    axes = pauli_axes(n)
-    axes.directions.flags.writeable = False
-    return axes
-
-
 def certify_quantumness(
     box: Box, n: int, d_A: int = 2, tol: float = DEFAULT_TOL
 ) -> Certificate:
@@ -1015,7 +1007,7 @@ def certify_quantumness(
     functional = steering_functional(box, n)
     if functional > 1.0 + 1e-9:
         return Certificate(WITNESSED_STEERABLE, d_A, functional, None, ())
-    ctx = _SearchContext(box, _pauli_set(n), tol)
+    ctx = _SearchContext(box, pauli_axes(n), tol)
     first = search_lhs_bounded(box, ctx.dirs, d_A, tol, _context=ctx)
     if isinstance(first, LhvLhsModel):
         return Certificate(CLASSICAL_AT_DIMENSION, d_A, functional, first, ())

@@ -11,12 +11,13 @@ class UnphysicalParams(UnsteerError):
     """A correlation triple whose Bell-diagonal eigenvalues are not all nonnegative."""
 
 
-class NonUnitDirection(UnsteerError):
-    """A Bloch direction that is not unit length."""
-
-
 class DimensionMismatch(UnsteerError):
     """Operator or measurement-set dimensions do not fit together."""
+
+
+class NonUnitDirection(DimensionMismatch):
+    """A Bloch direction that is not unit length, in a measurement set, RAC
+    encodings or a projector: a DimensionMismatch, as a set's shape is."""
 
 
 class OutOfRange(UnsteerError):

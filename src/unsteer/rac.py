@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import _born_products, _born_traces, deterministic_strategies
-from .errors import DegenerateAxis, DimensionMismatch, NonUnitDirection, OutOfRange
+from .boxes import _born_products, _born_traces, deterministic_strategies, pauli_axes
+from .errors import DegenerateAxis, DimensionMismatch, OutOfRange
 from .states import (
     BellDiagonalParams,
     _canonical,
     _canonical_head,
     _check_n,
-    _is_unit,
     _projectors,
     bell_diagonal,
 )
@@ -32,8 +31,6 @@ CSV_HEADER = "c1,c2,c3,separable,strength_n,efficiency_n,discord"
 # has 457,945 rows, and a step near zero has no finite grid at all.
 MIN_STEP = 0.005
 
-# Bob's projectors onto sigma_x, sigma_y, sigma_z; an n-bit code reads the first n.
-_PAULI_PROJECTORS = _projectors(np.eye(3))
 # The 2^n input strings of an n-bit code as rows of bits, most significant first.
 _INPUT_BITS = {n: np.array(deterministic_strategies(n)) for n in (2, 3)}
 
@@ -44,27 +41,30 @@ class RacSpec:
 
     encodings: (2^n, 3) unit vectors, row index = integer value of the input
     string x (most significant bit first).  Decoding is b_i = a XOR b; the
-    signed encodings built here make that correct on every axis.
+    signed encodings built here make that correct on every axis.  Checked
+    once at construction, as a MeasurementSet is; simulate_rac reads the stack.
     """
 
     n: int
     params: BellDiagonalParams
-    encodings: np.ndarray
+    encodings: np.ndarray  # read-only
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        enc = np.atleast_2d(np.asarray(self.encodings, dtype=float))
-        object.__setattr__(self, "encodings", enc)
+        enc = np.array(self.encodings, dtype=float, ndmin=2)
         _check_n(self.n)
         if enc.shape != (2 ** self.n, 3):
             raise DimensionMismatch(
                 f"expected {2 ** self.n} encoding directions of length 3, "
                 f"got shape {enc.shape}"
             )
-        if not _is_unit(enc):
-            norms = np.array([math.hypot(*row) for row in enc.tolist()])
-            raise NonUnitDirection(
-                f"encoding directions must be unit vectors, worst norm {norms.max()}"
-            )
+        stack = _projectors(enc)
+        enc.flags.writeable = stack.flags.writeable = False
+        object.__setattr__(self, "encodings", enc)
+        object.__setattr__(self, "_stack", stack)
+
+    def __reduce__(self):
+        return type(self), (self.n, self.params, self.encodings)
 
 
 @dataclass(frozen=True)
@@ -167,11 +167,8 @@ def simulate_rac(spec: RacSpec) -> RacResult:
     equals x_i; P_min is its minimum.
     """
     rho = bell_diagonal(spec.params)
-    n = spec.n
-    alice = _projectors(spec.encodings)
-    bob = _PAULI_PROJECTORS[:n]
-    p = _born_traces(_born_products(rho, alice, bob))  # [x, i, a, b]
-    bits = _INPUT_BITS[n]
+    p = _born_traces(_born_products(rho, spec._stack, pauli_axes(spec.n)._stack))  # [x, i, a, b]
+    bits = _INPUT_BITS[spec.n]
     # The guess a XOR b is right when it equals x_i; a = 0 is summed first.
     table = np.where(bits == 0, p[..., 0, 0] + p[..., 1, 1], p[..., 0, 1] + p[..., 1, 0])
     return RacResult(float(table.min()), table)

@@ -228,23 +228,11 @@ def _canonical_head(params: BellDiagonalParams, n: int) -> np.ndarray:
     return _canonical(params, n).as_array()[:n]
 
 
-def _is_unit(vectors: np.ndarray) -> bool:
-    """Whether every row of a (..., 3) array has norm within ATOL_MATRIX of 1
-    (NaN and inf fail): the one unit-norm bound of measurement sets, RAC
-    encodings and projectors (_projectors runs it row by row in its pass).
-
-    Summed in plain floats, x first, as np.add.reduce (and so
-    np.linalg.norm) adds three squares, so every norm keeps its bits."""
-    return all(
-        abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= ATOL_MATRIX
-        for x, y, z in vectors.reshape(-1, 3).tolist()
-    )
-
-
 def _projectors(directions: np.ndarray) -> np.ndarray:
     """(I + (-1)^a n.sigma)/2 for every row n of a (..., 3) array and outcome
     a, shape (..., 2, 2, 2), written out in plain floats in the pass that
-    runs _is_unit's check.  With h(t) = (0.0 + t)/2, outcome 0 is
+    runs the package's one unit-norm rule (NaN and inf fail; each |n| sums
+    x first, as np.linalg.norm does).  With h(t) = (0.0 + t)/2, outcome 0 is
     [[(1+z)/2, h(x) + i h(-y)], [h(x) + i h(y), (1-z)/2]] and outcome 1 is
     [[(1-z)/2, h(-x) + i h(y)], [h(-x) + i h(-y), (1+z)/2]], with +0
     diagonal imaginary parts: the bits of numpy's broadcast

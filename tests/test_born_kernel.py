@@ -8,13 +8,17 @@ diagonal.  The references below run the path those replace: one 4x4
 `np.kron(A, B) @ rho` per product and `np.trace(...).real`.  Equality is
 asserted bit for bit, signed zeros included.  The same holds for
 `rac._encodings` and the closed-form projector stack of
-`states._projectors`; `states._is_unit`, the closed-form PSD test and the
+`states._projectors`; the unit-norm rule of that stack (and so of every
+`MeasurementSet` and `RacSpec`), the closed-form PSD test and the
 plain-float passes of `Box.validate` and `Assemblage.validate` must give
 the numpy rules' verdicts, and the validators their messages.
 """
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -27,6 +31,7 @@ from unsteer import (
     DegenerateAxis,
     DimensionMismatch,
     InvalidBox,
+    InvalidModel,
     MeasurementSet,
     NonUnitDirection,
     PreconditionViolated,
@@ -38,13 +43,16 @@ from unsteer import (
     bd_eigenvalues,
     bell_diagonal,
     box_from_state,
+    build_lhs_model_2set,
     canonical_split_2set,
     canonical_split_3set,
     optimal_rac_spec,
+    pauli_axes,
     projector_matrix,
     rac_efficiency_bd,
     simulate_rac,
     steering_functional,
+    verify_lhv_lhs,
     white_noise_bb84,
 )
 from unsteer.boxes import (
@@ -61,7 +69,6 @@ from unsteer.states import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _is_unit,
     _projectors,
 )
 
@@ -168,11 +175,20 @@ class TestKernelBitIdentity:
 
 
 def reference_is_unit(vectors) -> bool:
-    """The numpy rule that states._is_unit replaces."""
+    """The numpy unit-norm rule that _projectors' plain-float pass replaces."""
     v = np.atleast_2d(vectors)
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.add.reduce(v * v, axis=-1))
         return bool((np.abs(norms - 1.0) <= ATOL_MATRIX).all())
+
+
+def accepts(build, vectors) -> bool:
+    """Whether build(vectors) returns rather than raising NonUnitDirection."""
+    try:
+        build(vectors)
+    except NonUnitDirection:
+        return False
+    return True
 
 
 def reference_first_negative(sig):
@@ -229,6 +245,9 @@ class TestScalarKernels:
     """Each plain-float kernel against the numpy rule it replaced."""
 
     def test_is_unit_matches_numpy_rule(self):
+        """_projectors, MeasurementSet and RacSpec accept exactly the rows
+        and stacks the numpy rule accepts, and raise NonUnitDirection for
+        the rest."""
         rng = np.random.default_rng(3001)
         rows = list(random_unit_vectors(rng, 300))
         # Rows whose norm sits at 1 +- 1e-12, give or take a few ulps.
@@ -243,17 +262,22 @@ class TestScalarKernels:
             [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [1e-200, 1e-200, 1.0],
             [1.0, 1.0, 1.0], [math.sqrt(0.5), -math.sqrt(0.5), 0.0],
         ]]
-        verdicts = [_is_unit(row) for row in rows]
+        verdicts = [accepts(_projectors, row) for row in rows]
         assert verdicts == [reference_is_unit(row) for row in rows]
+        assert [accepts(MeasurementSet, row) for row in rows] == verdicts
         assert 200 < sum(verdicts) < len(rows)
         stack = np.array(rows)
-        for size in (1, 2, 3, 8):
+        for size in (1, 2, 3, 4, 8):
             for start in range(0, len(rows) - size, 7):
                 part = stack[start:start + size]
-                assert _is_unit(part) == reference_is_unit(part)
+                want = reference_is_unit(part)
+                assert accepts(_projectors, part) == accepts(MeasurementSet, part) == want
+                if size in (4, 8):
+                    n = 2 if size == 4 else 3
+                    assert accepts(lambda enc: RacSpec(n, _UNPHYSICAL, enc), part) == want
         # Every shape the callers pass: one row, a set, and a (x, a, 3) stack.
-        assert _is_unit(stack[0]) == reference_is_unit(stack[0])
-        assert _is_unit(stack[:12].reshape(2, 2, 3, 3)) == reference_is_unit(stack[:12])
+        assert accepts(_projectors, stack[0]) == reference_is_unit(stack[0])
+        assert accepts(_projectors, stack[:12].reshape(2, 2, 3, 3)) == reference_is_unit(stack[:12])
 
     def test_psd_kernel_never_clears_a_block_eigvalsh_rejects(self):
         """A block the closed form clears has no eigvalsh eigenvalue below
@@ -600,19 +624,24 @@ class TestValidatorKernels:
 
 
 def _scaled_set(directions) -> MeasurementSet:
-    """A valid set whose directions leave the unit sphere after construction."""
+    """A valid set, scaled off the unit sphere after construction.  Its
+    directions are read-only, so the write raises numpy's ValueError before
+    any Born-layer call sees the set."""
     bad = MeasurementSet(np.array(directions, dtype=float))
     bad.directions[...] *= 1.0 + 1e-10
     return bad
 
 
 def _scaled_spec(n) -> RacSpec:
+    """_scaled_set for a spec's encodings."""
     spec = optimal_rac_spec(BellDiagonalParams(0.6, 0.5, -0.4), n)
     spec.encodings[...] *= 1.0 + 1e-10
     return spec
 
 
 _RHO = bell_diagonal(BellDiagonalParams(0.6, 0.5, -0.4))
+_HUGE = np.array([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e200], [1.0, 0.0, 0.0]])
+_MODEL = build_lhs_model_2set(BellDiagonalParams(0.5, 0.5, 0.0))
 _PAULI_3 = np.eye(3)
 _UNPHYSICAL = BellDiagonalParams(0.9, 0.9, 0.9)
 _NAN = BellDiagonalParams(float("nan"), 0.2, 0.1)
@@ -631,15 +660,15 @@ CHECKS = {
     ),
     "box alice scaled": (
         lambda: box_from_state(_RHO, _scaled_set(_PAULI_3), MeasurementSet(_PAULI_3)),
-        NonUnitDirection,
+        ValueError,
     ),
     "box bob scaled": (
         lambda: box_from_state(_RHO, MeasurementSet(_PAULI_3), _scaled_set(_PAULI_3)),
-        NonUnitDirection,
+        ValueError,
     ),
     "set construction": (
         lambda: MeasurementSet(_PAULI_3 * (1.0 + 1e-10)),
-        DimensionMismatch,
+        NonUnitDirection,
     ),
     "set shape (2, 2)": (lambda: MeasurementSet(np.eye(2)), DimensionMismatch),
     "set shape (1, 4)": (lambda: MeasurementSet(np.eye(4)[:1]), DimensionMismatch),
@@ -651,10 +680,10 @@ CHECKS = {
     ),
     "assemblage scaled": (
         lambda: assemblage_from_state(_RHO, _scaled_set(_PAULI_3[:2])),
-        NonUnitDirection,
+        ValueError,
     ),
-    "simulate scaled n=2": (lambda: simulate_rac(_scaled_spec(2)), NonUnitDirection),
-    "simulate scaled n=3": (lambda: simulate_rac(_scaled_spec(3)), NonUnitDirection),
+    "simulate scaled n=2": (lambda: simulate_rac(_scaled_spec(2)), ValueError),
+    "simulate scaled n=3": (lambda: simulate_rac(_scaled_spec(3)), ValueError),
     "simulate unphysical": (
         lambda: simulate_rac(RacSpec(2, _UNPHYSICAL, np.eye(3)[[0, 0, 1, 1]])),
         UnphysicalParams,
@@ -711,6 +740,59 @@ CHECKS = {
 }
 
 
+def _overflowing(dtype, *index) -> np.ndarray:
+    """A valid (2, 2, 2, 2) stack of I/4 blocks with 1.7e308 at each index:
+    two of them sum past the float range."""
+    sig = np.array([np.eye(2) / 4.0] * 4, dtype=dtype).reshape(2, 2, 2, 2)
+    for i in index:
+        sig[i] = 1.7e308
+    return sig
+
+
+def _model_with(**parts):
+    """verify_lhv_lhs on _MODEL with some parts replaced, against its own box."""
+    return verify_lhv_lhs(dataclasses.replace(_MODEL, **parts), _MODEL.reconstruct_box(), 1e-9)
+
+
+# (call, named error, message) for finite inputs that overflow a check.
+HUGE = {
+    "set": (lambda: MeasurementSet(_HUGE), NonUnitDirection, "e\\+200"),
+    "projectors": (lambda: _projectors(_HUGE[1:3]), NonUnitDirection, "e\\+200"),
+    "spec": (lambda: RacSpec(2, _UNPHYSICAL, _HUGE), NonUnitDirection, "e\\+200"),
+    **{
+        f"assemblage signals {dtype.__name__}": (
+            lambda dtype=dtype: Assemblage(_overflowing(dtype, (0, 1, 0, 1), (1, 1, 0, 1))).validate(),
+            InvalidBox,
+            "^assemblage signals: ",
+        )
+        for dtype in (complex, float)
+    },
+    **{
+        f"assemblage traces {dtype.__name__}": (
+            lambda dtype=dtype: Assemblage(_overflowing(dtype, np.s_[:, :, 0, 0])).validate(),
+            InvalidBox,
+            "^assemblage traces sum to \\[inf inf\\], expected 1$",
+        )
+        for dtype in (complex, float)
+    },
+    "model bloch": (
+        lambda: _model_with(bob_states=np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 1.0]])),
+        InvalidModel,
+        "^Bloch norm inf exceeds 1$",
+    ),
+    "model weights": (
+        lambda: _model_with(weights=np.array([1.7e308, 1.7e308])),
+        InvalidModel,
+        "^weights sum to inf, expected 1$",
+    ),
+    "model table": (
+        lambda: _model_with(alice_tables=np.array([[[1.7e308, 1.7e308], [0.5, 0.5]]] * 2)),
+        InvalidModel,
+        "^non-stochastic Alice response table$",
+    ),
+}
+
+
 class TestNoCheckLost:
     @pytest.mark.parametrize("name", sorted(CHECKS))
     def test_raises_named_error(self, name):
@@ -718,19 +800,15 @@ class TestNoCheckLost:
         with pytest.raises(error):
             call()
 
-    @pytest.mark.parametrize("site", ["set", "projectors", "spec"])
+    @pytest.mark.parametrize("site", sorted(HUGE))
     def test_huge_component_raises_without_warning(self, site):
-        """A 1e200 component overflows a squared norm; the unit checks and
-        their messages raise the named error with no RuntimeWarning."""
-        huge = np.array([[1e200, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e200], [1.0, 0.0, 0.0]])
-        call, error = {
-            "set": (lambda: MeasurementSet(huge), DimensionMismatch),
-            "projectors": (lambda: _projectors(huge[1:3]), NonUnitDirection),
-            "spec": (lambda: RacSpec(2, _UNPHYSICAL, huge), NonUnitDirection),
-        }[site]
+        """Finite entries whose squares or sums overflow: with warnings as
+        errors, the unit checks, Assemblage.validate's numpy checks and
+        verify_lhv_lhs still raise their named error and message."""
+        call, error, message = HUGE[site]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(error, match="e\\+200"):
+            with pytest.raises(error, match=message):
                 call()
 
     @pytest.mark.parametrize("split", [canonical_split_2set, canonical_split_3set])
@@ -743,3 +821,58 @@ class TestNoCheckLost:
         first[0, 0] = 7.0
         assert same_bits(second, expected)
         assert same_bits(split(params).steerable_part, expected)
+
+
+class TestCheckedOnce:
+    """A MeasurementSet and a RacSpec are values checked at construction:
+    read-only arrays, their own copy of the caller's data, and copies and
+    pickles that rebuild through the constructor."""
+
+    def test_arrays_are_read_only(self):
+        spec = optimal_rac_spec(BellDiagonalParams(0.6, 0.5, -0.4), 3)
+        for value in (MeasurementSet(_PAULI_3), pauli_axes(2), spec):
+            given = value.encodings if value is spec else value.directions
+            for array in (given, value._stack):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_source_arrays_stay_the_callers(self, n):
+        """Writing into the arrays a set and a spec were built from, even
+        off the unit sphere, leaves every output bit for bit."""
+        rng = np.random.default_rng(3200 + n)
+        source, encodings = random_unit_vectors(rng, n), random_unit_vectors(rng, 2**n)
+        alice, bob = MeasurementSet(source), MeasurementSet(source[::-1])
+        spec = RacSpec(n, BellDiagonalParams(0.6, 0.5, -0.4), encodings)
+
+        def outputs():
+            return (box_from_state(_RHO, alice, bob).p,
+                    assemblage_from_state(_RHO, alice).sigma, simulate_rac(spec).table)
+
+        before = outputs()
+        source *= 1.0 + 1e-10
+        encodings[::-1] *= -1.0 - 1e-10
+        assert not np.shares_memory(alice.directions, source)
+        assert not np.shares_memory(spec.encodings, encodings)
+        assert all(same_bits(a, b) for a, b in zip(outputs(), before))
+
+    @pytest.mark.parametrize("kind", ["set", "pauli", "spec"])
+    def test_copies_rebuild_read_only_values(self, kind):
+        """copy.copy, copy.deepcopy and pickle at every protocol give a new
+        value with read-only arrays and an equal, newly built stack."""
+        value = {
+            "set": lambda: MeasurementSet(random_unit_vectors(np.random.default_rng(3210), 3)),
+            "pauli": lambda: pauli_axes(3),
+            "spec": lambda: optimal_rac_spec(BellDiagonalParams(0.6, 0.5, -0.4), 3),
+        }[kind]()
+        name = "encodings" if kind == "spec" else "directions"
+        copies = [copy.copy(value), copy.deepcopy(value)]
+        copies += [pickle.loads(pickle.dumps(value, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert type(other) is type(value) and other is not value
+            assert not getattr(other, name).flags.writeable and not other._stack.flags.writeable
+            assert same_bits(getattr(other, name), getattr(value, name))
+            assert same_bits(other._stack, value._stack) and other._stack is not value._stack
+            if kind == "spec":
+                assert (other.n, other.params) == (value.n, value.params)

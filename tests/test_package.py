@@ -121,8 +121,9 @@ def test_import_builds_no_table():
     all built on first use."""
     out, _ = run_fresh(["-c", (
         "import unsteer.cli\n"
-        "from unsteer.decompose import _case_table, _pauli_set, _set_group, _trace_entries\n"
-        "print([f.cache_info().currsize for f in (_case_table, _pauli_set, _set_group, _trace_entries)])"
+        "from unsteer.boxes import pauli_axes\n"
+        "from unsteer.decompose import _case_table, _set_group, _trace_entries\n"
+        "print([f.cache_info().currsize for f in (_case_table, pauli_axes, _set_group, _trace_entries)])"
     )])
     assert out.strip() == "[0, 0, 0, 0]"
 

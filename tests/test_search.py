@@ -44,7 +44,6 @@ from unsteer.decompose import (
     _case_table,
     _cone_codes,
     _Interior,
-    _pauli_set,
     _SearchContext,
     _set_group,
     _trace_entries,
@@ -1472,25 +1471,28 @@ class TestCertificates:
         assert all(set(e) == {"case", "violated"} for e in doc["trace"])
 
     def test_pauli_set_is_one_read_only_constant(self, monkeypatch):
-        """A certificate's searches run on one read-only Pauli set per n,
-        built on first use: a warm certificate builds no MeasurementSet and
-        runs no is_mub, and its model holds that set, while pauli_axes still
-        returns a fresh, writable set each call, which a search checks."""
+        """A certificate's searches run on pauli_axes(n), one read-only set
+        per n, built on first use: a warm certificate builds no
+        MeasurementSet and runs no is_mub, and its model holds that set,
+        while a set the caller builds from the same axes is checked by
+        is_mub."""
         made, checked = [], []
         post_init, is_mub = MeasurementSet.__post_init__, MeasurementSet.is_mub
         monkeypatch.setattr(MeasurementSet, "__post_init__",
                             lambda dirs: made.append(dirs) or post_init(dirs))
         monkeypatch.setattr(MeasurementSet, "is_mub", lambda dirs: checked.append(dirs) or is_mub(dirs))
         for n, box in ((2, white_noise_bb84(0.5)), (3, bd_box(0.3, 0.3, -0.3, n=3))):
-            axes = _pauli_set(n)
-            assert _pauli_set(n) is axes and not axes.directions.flags.writeable
-            assert np.array_equal(axes.directions, pauli_axes(n).directions)
+            axes = pauli_axes(n)
+            hits = pauli_axes.cache_info().hits
+            assert pauli_axes(n) is axes and not axes.directions.flags.writeable
+            assert pauli_axes.cache_info().hits == hits + 1
+            assert np.array_equal(axes.directions, np.eye(3)[:n])
             made.clear()
             checked.clear()
             cert = certify_quantumness(box, n)
             assert cert.verdict == SUPERUNSTEERABLE and made == checked == []
             assert cert.model.bob_directions is axes
-            fresh = pauli_axes(n)
-            assert fresh is not pauli_axes(n) and fresh.directions.flags.writeable
-            assert search_lhs_bounded(box, fresh, 2**n).bob_directions is fresh
-            assert checked == [fresh]
+            own = MeasurementSet(np.eye(3)[:n])
+            assert own is not axes and made == [own]
+            assert search_lhs_bounded(box, own, 2**n).bob_directions is own
+            assert checked == [own]
